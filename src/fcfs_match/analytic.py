@@ -1,16 +1,23 @@
-"""Ordered-subset enumeration: normalizing constant, stationary weights, matching rates.
+"""Subset table: normalizing constant, stationary weights, matching rates.
 
 Every quantity here is a sum over ordered subsets (C_1, ..., C_k) of agent
-types. A depth-first walk in declared type order visits each ordered subset
-exactly once while maintaining incremental prefix sums, so the normalizing
-constant, the matching rates, and the delay/wait moment accumulators all come
-out of a single pass. The walk count grows like e * I!, so the agent-type
-count is capped (default 12) unless explicitly overridden.
+types, and each term is a product over prefixes of lambda_{C_l} / theta(prefix
+set), where theta(S) = mu_{S(S)} - lambda_S depends only on the set. Each sum
+therefore factors into a forward prefix weight W(S) and a backward completion
+weight F(T) over the 2^I agent sets, the set recursion of order-independent
+queues. One cached table per model holds theta, W, F and the per-pair rate and
+delay/wait moment sums, built in O(J * I * 2^I) steps. The agent-type count is
+capped (default 12) unless explicitly overridden, and a table whose memory
+estimate exceeds half the physical memory is refused.
+
+enumerate_terms, the depth-first walk over all e * I! ordered subsets, stays
+as public API and as the independent oracle the table is tested against.
 """
 
 from __future__ import annotations
 
 import functools
+import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -22,6 +29,11 @@ DEFAULT_TYPE_CAP = 12
 # Prefixes whose drain margin (mu_set - lambda_set) / (lambda_bar + mu_bar) falls
 # below this are treated as unstable rather than producing astronomical weights.
 STABILITY_MARGIN = 1e-12
+
+# The table keeps 9 lists of 2^I floats (theta, W, F0 and six moment
+# completions) while it is built; a float in a list costs about 32 bytes.
+TABLE_ARRAYS = 9
+BYTES_PER_FLOAT = 32
 
 
 class PermutationTerm(NamedTuple):
@@ -39,23 +51,7 @@ class PermutationTerm(NamedTuple):
     weight: float
 
 
-class _Kahan:
-    """Compensated scalar accumulator."""
-
-    __slots__ = ("total", "comp")
-
-    def __init__(self):
-        self.total = 0.0
-        self.comp = 0.0
-
-    def add(self, value: float) -> None:
-        y = value - self.comp
-        t = self.total + y
-        self.comp = (t - self.total) - y
-        self.total = t
-
-
-def _check_enumerable(model: MatchingModel, cap: int | None) -> None:
+def _check_cap(model: MatchingModel, cap: int | None) -> None:
     validate(model)
     limit = DEFAULT_TYPE_CAP if cap is None else cap
     if model.n_agent_types > limit:
@@ -63,13 +59,14 @@ def _check_enumerable(model: MatchingModel, cap: int | None) -> None:
             f"{model.n_agent_types} agent types exceeds the enumeration cap {limit}; "
             "pass a larger cap explicitly to override"
         )
-    report = check_stability(model)
-    if not report.stable:
-        raise UnstableModel(
-            f"model is unstable: agent subset {report.witness.names} has arrival rate "
-            f"{report.witness.rate!r} >= compatible good rate",
-            witness=report.witness,
-        )
+
+
+def _unstable(witness) -> UnstableModel:
+    return UnstableModel(
+        f"model is unstable: agent subset {witness.names} has arrival rate "
+        f"{witness.rate!r} >= compatible good rate",
+        witness=witness,
+    )
 
 
 def enumerate_terms(
@@ -87,7 +84,10 @@ def enumerate_terms(
     disjoint union of these branches (in declared order), which is the unit of
     partitioned evaluation: per-branch accumulations merge by addition.
     """
-    _check_enumerable(model, cap)
+    _check_cap(model, cap)
+    report = check_stability(model)
+    if not report.stable:
+        raise _unstable(report.witness)
     n = model.n_agent_types
     names = model.agent_names
     lam = model.agent_rates
@@ -102,7 +102,6 @@ def enumerate_terms(
     else:
         roots = tuple(range(n))
 
-    nj = model.n_good_types
     count = 0
     make = PermutationTerm
 
@@ -140,149 +139,232 @@ def enumerate_terms(
 
 
 @dataclass(frozen=True)
-class _PassResult:
+class _SubsetTable:
+    """Per-set weights of one model, indexed by agent bitmask, and the per-pair
+    sums derived from them.
+
+    W(S) sums the weights of the orders of S. F0(T) sums, over the ways to
+    extend T to a longer order (none included), the product of the added
+    prefixes' lambda_k / theta; so the orders extending an order P of the set T
+    weigh weight(P) * F0(T) in total, and B = 1 / F0(empty set).
+    """
+
     b: float
+    theta: list[float]  # mu_{S(S)} - lambda_S; theta[0] = 0 is never divided by
+    w: list[float]
+    f0: list[float]
     rate_raw: list[float]  # flat (good j * I + agent i) first-compatible credit sums
-    # delay-moment accumulators (position counts), same flat indexing
-    de: list[float] | None
-    de2: list[float] | None
-    dv: list[float] | None
-    # wait-moment accumulators (time units)
-    we: list[float] | None
-    we2: list[float] | None
-    wv: list[float] | None
+    # delay-moment sums (position counts), same flat indexing
+    de: list[float]
+    de2: list[float]
+    dv: list[float]
+    # wait-moment sums (time units)
+    we: list[float]
+    we2: list[float]
+    wv: list[float]
 
 
-def _rate_pass(model: MatchingModel, *, cap: int | None, moments: bool) -> _PassResult:
-    """One depth-first pass accumulating B, the per-pair rate sums and, when
-    requested, the per-pair delay and wait moment sums."""
-    _check_enumerable(model, cap)
+def _check_memory(n_agent_types: int) -> None:
+    need = (1 << n_agent_types) * TABLE_ARRAYS * BYTES_PER_FLOAT
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > physical / 2:
+        raise TooManyTypes(
+            f"{n_agent_types} agent types need about {need / 2**30:.3g} GiB for the subset "
+            f"table, more than half of the {physical / 2**30:.3g} GiB of physical memory"
+        )
+
+
+def _subset_table(model: MatchingModel) -> _SubsetTable:
+    """Build the table: theta and W by increasing mask, the completions by
+    decreasing mask, then the per-pair sums. Raises UnstableModel when any set
+    has a drain margin below STABILITY_MARGIN."""
     n = model.n_agent_types
-    nj = model.n_good_types
+    _check_memory(n)
+    size = 1 << n
     lam = model.agent_rates
     mu = model.good_rates
     good_masks = model.goods_of_agent
     total_rate = model.total_rate
+    bits = [(1 << k, lam[k]) for k in range(n)]
 
-    b_acc = _Kahan()
-    size = nj * n
-    r_sum = [0.0] * size
-    r_comp = [0.0] * size
-    if moments:
-        de_sum = [0.0] * size
-        de_comp = [0.0] * size
-        de2_sum = [0.0] * size
-        de2_comp = [0.0] * size
-        dv_sum = [0.0] * size
-        dv_comp = [0.0] * size
-        we_sum = [0.0] * size
-        we_comp = [0.0] * size
-        we2_sum = [0.0] * size
-        we2_comp = [0.0] * size
-        wv_sum = [0.0] * size
-        wv_comp = [0.0] * size
+    # theta(S) from S minus its lowest type
+    theta = [0.0] * size
+    lam_set = [0.0] * size
+    mu_set = [0.0] * size
+    goods = [0] * size
+    for s in range(1, size):
+        low = s & -s
+        rest = s ^ low
+        i = low.bit_length() - 1
+        lam_set[s] = lam_set[rest] + lam[i]
+        goods[s] = goods[rest] | good_masks[i]
+        m = mu_set[rest]
+        add = goods[s] & ~goods[rest]
+        j = 0
+        while add:
+            if add & 1:
+                m += mu[j]
+            add >>= 1
+            j += 1
+        mu_set[s] = m
+        theta[s] = m - lam_set[s]
+    del lam_set, mu_set, goods
+    worst = min(range(1, size), key=theta.__getitem__)
+    if theta[worst] / total_rate < STABILITY_MARGIN:
+        report = check_stability(model)
+        if not report.stable:
+            raise _unstable(report.witness)
+        names = tuple(a for k, a in enumerate(model.agent_names) if worst >> k & 1)
+        raise UnstableModel(f"agent subset {names} has drain margin below {STABILITY_MARGIN:g}")
 
-    # Cumulative per-depth stage sums along the current path (index d+1 = depth d).
-    cum_invp = [0.0] * (n + 1)
-    cum_vgeo = [0.0] * (n + 1)
-    cum_invth = [0.0] * (n + 1)
-    cum_vexp = [0.0] * (n + 1)
-    weights = [1.0] * (n + 1)
-    lam_sets = [0.0] * (n + 1)
-    s_masks = [0] * (n + 1)
-    mu_sets = [0.0] * (n + 1)
-    match_pos = [-1] * nj  # depth at which each good type first became matchable
-    matched: list[tuple[int, int, int]] = []  # (good j, flat j*n+agent, match depth)
-    matched_at: list[int] = [0] * (n + 1)  # matched-list length at each depth
+    w = [1.0] * size
+    for s in range(1, size):
+        acc = 0.0
+        for bit, lam_k in bits:
+            if s & bit:
+                acc += w[s ^ bit] * lam_k
+        w[s] = acc / theta[s]
 
-    order_idx: list[int] = []
-    used = 0
-    pending = [list(range(n - 1, -1, -1))]
-    while pending:
-        frame = pending[-1]
-        if not frame:
-            pending.pop()
-            if order_idx:
-                d = len(order_idx) - 1
-                used &= ~(1 << order_idx.pop())
-                while len(matched) > matched_at[d]:
-                    match_pos[matched.pop()[0]] = -1
-            continue
-        i = frame.pop()
-        d = len(order_idx)  # depth of the node being created
-        lam_set = lam_sets[d] + lam[i]
-        s_mask = s_masks[d] | good_masks[i]
-        mu_set = mu_sets[d]
-        new_mask = s_mask & ~s_masks[d]
-        for j in range(nj):
-            if new_mask >> j & 1:
-                mu_set += mu[j]
-        theta = mu_set - lam_set
-        if theta / total_rate < STABILITY_MARGIN:
-            raise UnstableModel(
-                f"prefix ending at {model.agent_names[i]!r} has drain margin below "
-                f"{STABILITY_MARGIN:g}"
-            )
-        x = weights[d] * lam[i] / theta
-        order_idx.append(i)
-        used |= 1 << i
-        lam_sets[d + 1] = lam_set
-        s_masks[d + 1] = s_mask
-        mu_sets[d + 1] = mu_set
-        weights[d + 1] = x
-        if moments:
-            p = theta / total_rate
-            cum_invp[d + 1] = cum_invp[d] + 1.0 / p
-            cum_vgeo[d + 1] = cum_vgeo[d] + (1.0 - p) / (p * p)
-            cum_invth[d + 1] = cum_invth[d] + 1.0 / theta
-            cum_vexp[d + 1] = cum_vexp[d] + 1.0 / (theta * theta)
+    # Completions: F0(T) = 1 + sum_k c_k F0(T+k) with c_k = lambda_k / theta(T+k).
+    # A continuation of T collects an additive stage value a(T') at every set
+    # T' from T on; F1 sums weight * (total a) and F2 weight * (total a)^2:
+    # F1(T) = a(T) F0(T) + sum_k c_k F1(T+k),
+    # F2(T) = a(T)^2 F0(T) + 2 a(T) sum_k c_k F1(T+k) + sum_k c_k F2(T+k).
+    # Delay stages take a = 1/p with p = theta / total_rate and variance
+    # (1 - p) / p^2; wait stages take a = 1/theta and variance 1/theta^2.
+    f0 = [1.0] * size
+    d1, d2, dvar, w1, w2, wvar = ([0.0] * size for _ in range(6))
+    for t in range(size - 1, -1, -1):
+        s0 = 1.0
+        sd1 = sd2 = sdv = sw1 = sw2 = swv = 0.0
+        for bit, lam_k in bits:
+            if t & bit:
+                continue
+            u = t | bit
+            c = lam_k / theta[u]
+            s0 += c * f0[u]
+            sd1 += c * d1[u]
+            sd2 += c * d2[u]
+            sdv += c * dvar[u]
+            sw1 += c * w1[u]
+            sw2 += c * w2[u]
+            swv += c * wvar[u]
+        f0[t] = s0
+        if not t:
+            break  # the empty set is no stage
+        th = theta[t]
+        p = th / total_rate
+        a = 1.0 / p
+        d1[t] = a * s0 + sd1
+        d2[t] = a * a * s0 + 2.0 * a * sd1 + sd2
+        dvar[t] = (1.0 - p) / (p * p) * s0 + sdv
+        a = 1.0 / th
+        w1[t] = a * s0 + sw1
+        w2[t] = a * a * s0 + 2.0 * a * sw1 + sw2
+        wvar[t] = a * a * s0 + swv
 
-        b_acc.add(x)
-        matched_at[d] = len(matched)
-        agent_mask = model.agents_of_good
-        for j in range(nj):
-            if match_pos[j] < 0 and agent_mask[j] >> i & 1:
-                match_pos[j] = d
-                matched.append((j, j * n + i, d))
-
-        for j, flat, l in matched:
-            y = x - r_comp[flat]
-            t = r_sum[flat] + y
-            r_comp[flat] = (t - r_sum[flat]) - y
-            r_sum[flat] = t
-            if moments:
-                ae = cum_invp[d + 1] - cum_invp[l]
-                av = cum_vgeo[d + 1] - cum_vgeo[l]
-                wme = cum_invth[d + 1] - cum_invth[l]
-                wmv = cum_vexp[d + 1] - cum_vexp[l]
-                for sums, comps, v in (
-                    (de_sum, de_comp, x * ae),
-                    (de2_sum, de2_comp, x * ae * ae),
-                    (dv_sum, dv_comp, x * av),
-                    (we_sum, we_comp, x * wme),
-                    (we2_sum, we2_comp, x * wme * wme),
-                    (wv_sum, wv_comp, x * wmv),
-                ):
-                    y = v - comps[flat]
-                    t = sums[flat] + y
-                    comps[flat] = (t - sums[flat]) - y
-                    sums[flat] = t
-        pending.append([k for k in range(n - 1, -1, -1) if not used >> k & 1])
-
-    b = 1.0 / (1.0 + b_acc.total)
-    if moments:
-        return _PassResult(b, r_sum, de_sum, de2_sum, dv_sum, we_sum, we2_sum, wv_sum)
-    return _PassResult(b, r_sum, None, None, None, None, None, None)
+    nj = model.n_good_types
+    flat = [[0.0] * (nj * n) for _ in range(7)]
+    for j in range(nj):
+        sums = _first_match_sums(model, w, theta, j, (f0, d1, d2, dvar, w1, w2, wvar))
+        for out, part in zip(flat, sums):
+            out[j * n:(j + 1) * n] = part
+    return _SubsetTable(1.0 / f0[0], theta, w, f0, *flat)
 
 
-@functools.lru_cache(maxsize=64)
-def _cached_pass(model: MatchingModel, cap: int | None, moments: bool) -> _PassResult:
-    return _rate_pass(model, cap=cap, moments=moments)
+def _first_match_sums(model: MatchingModel, w, theta, j: int, completions) -> list[list[float]]:
+    """For every completion array F, per agent i compatible with good j (zero
+    elsewhere): the sum over sets P of agents incompatible with j of
+    W(P) * lambda_i / theta(P+i) * F(P+i). That is the sum over the orders in
+    which i is the first type compatible with j, each weighted and completed
+    by F."""
+    n = model.n_agent_types
+    lam = model.agent_rates
+    compatible = model.agents_of_good[j]
+    free = ((1 << n) - 1) & ~compatible
+    agents = [(i, 1 << i, lam[i]) for i in range(n) if compatible >> i & 1]
+    sums = [[0.0] * n for _ in completions]
+    pairs = list(zip(sums, completions))
+    p = free
+    while True:  # every subset p of free, free itself first and 0 last
+        wp = w[p]
+        for i, bit, lam_i in agents:
+            u = p | bit
+            x = wp * lam_i / theta[u]
+            for out, f in pairs:
+                out[i] += x * f[u]
+        if not p:
+            return sums
+        p = (p - 1) & free
+
+
+# A cached table keeps 3 lists of 2^I floats; callers reuse one model at a
+# time, so two entries keep the cache small next to the memory bound.
+@functools.lru_cache(maxsize=2)
+def _cached_pass(model: MatchingModel) -> _SubsetTable:
+    return _subset_table(model)
+
+
+def _table(model: MatchingModel, cap: int | None) -> _SubsetTable:
+    _check_cap(model, cap)
+    return _cached_pass(model)
+
+
+def _mixture(model: MatchingModel, table: _SubsetTable, j: int, i: int, stage_factor) -> float:
+    """Sum over the orders in which agent i is the first type compatible with
+    good j, of weight times the product of stage_factor(theta) over the
+    prefixes from the match position onward."""
+    theta = table.theta
+    size = len(theta)
+    bits = [(1 << k, lam_k) for k, lam_k in enumerate(model.agent_rates)]
+    # H(T) = stage_factor(theta(T)) * (1 + sum_k lambda_k / theta(T+k) * H(T+k))
+    h = [0.0] * size
+    for t in range(size - 1, 0, -1):
+        acc = 1.0
+        for bit, lam_k in bits:
+            if not t & bit:
+                u = t | bit
+                acc += lam_k / theta[u] * h[u]
+        h[t] = stage_factor(theta[t]) * acc
+    return _first_match_sums(model, table.w, theta, j, (h,))[0][i]
+
+
+def _orders_above(
+    model: MatchingModel, threshold: float, cap: int | None
+) -> dict[tuple[str, ...], float]:
+    """Stationary probability of every nonempty first-appearance order whose
+    probability exceeds threshold, depth-first in declared type order.
+
+    The orders extending a prefix P, P included, have total probability
+    B * weight(P) * F0(set of P), so once that is at most threshold the walk
+    skips P and all its extensions: the result is exact, not truncated.
+    """
+    table = _table(model, cap)
+    b, theta, f0 = table.b, table.theta, table.f0
+    names = model.agent_names
+    steps = [(names[k], 1 << k, lam_k) for k, lam_k in enumerate(model.agent_rates)]
+    found: dict[tuple[str, ...], float] = {}
+
+    def extend(order, mask, weight):
+        for name, bit, lam_k in steps:
+            if mask & bit:
+                continue
+            u = mask | bit
+            x = weight * lam_k / theta[u]
+            if b * x * f0[u] <= threshold:
+                continue
+            norder = order + (name,)
+            if b * x > threshold:
+                found[norder] = b * x
+            extend(norder, u, x)
+
+    extend((), 0, 1.0)
+    return found
 
 
 def normalizing_constant(model: MatchingModel, *, cap: int | None = None) -> float:
     """Probability of a perfect match (no agent waiting): 1 / (1 + sum of weights)."""
-    return _cached_pass(model, cap, False).b
+    return _table(model, cap).b
 
 
 def pi_y_perm(model: MatchingModel, order, *, cap: int | None = None) -> float:
@@ -296,22 +378,14 @@ def pi_y_perm(model: MatchingModel, order, *, cap: int | None = None) -> float:
     for nm in names:
         if nm not in model.agent_index:
             raise UnknownIdentifier(f"unknown agent type {nm!r}")
-    b = normalizing_constant(model, cap=cap)
-    lam_set = 0.0
-    s_mask = 0
+    table = _table(model, cap)
+    mask = 0
     weight = 1.0
     for nm in names:
         i = model.agent_index[nm]
-        lam_set += model.agent_rates[i]
-        s_mask |= model.goods_of_agent[i]
-        mu_set = 0.0
-        for j in range(model.n_good_types):
-            if s_mask >> j & 1:
-                mu_set += model.good_rates[j]
-        if mu_set <= lam_set:
-            raise UnstableModel(f"prefix {names} is not drained under this model")
-        weight *= model.agent_rates[i] / (mu_set - lam_set)
-    return b * weight
+        mask |= 1 << i
+        weight *= model.agent_rates[i] / table.theta[mask]
+    return table.b * weight
 
 
 @dataclass(frozen=True)
@@ -359,18 +433,17 @@ class RateReport:
 
 
 def matching_rates(model: MatchingModel, *, cap: int | None = None) -> RateReport:
-    """Single-pass computation of all matching rates and loss rates.
+    """All matching rates and loss rates from the subset table.
 
-    Each enumerated term credits its weight to the first compatible agent type
+    Each ordered subset credits its weight to the first compatible agent type
     in first-appearance order, per good type; scaling by B and the good-type
     frequency turns the sums into rates, and the lost fraction is the good's
     frequency share minus its matched rates.
     """
-    result = _cached_pass(model, cap, False)
-    return _build_rate_report(model, result)
+    return _build_rate_report(model, _table(model, cap))
 
 
-def _build_rate_report(model: MatchingModel, result: _PassResult) -> RateReport:
+def _build_rate_report(model: MatchingModel, result: _SubsetTable) -> RateReport:
     n = model.n_agent_types
     mu = model.good_rates
     mu_bar = model.mu_bar

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -174,17 +175,21 @@ def cmd_verify(args) -> int:
             for row in rows
         ]
     lines = ["quantity,analytic,empirical,stderr,z_score"]
-    worst = 0.0
     for row in rows:
         lines.append(
             f"{row.quantity},{fmt12(row.analytic)},{fmt12(row.empirical)},"
             f"{fmt12(row.stderr)},{fmt12(row.z)}"
         )
-        if abs(row.z) > worst:
-            worst = abs(row.z)
     _write(args, "\n".join(lines) + "\n")
+    # a row without a finite z could not be checked, so it fails too
+    unestimable = [row.quantity for row in rows if not math.isfinite(row.z)]
+    worst = max((abs(row.z) for row in rows if math.isfinite(row.z)), default=0.0)
+    if unestimable:
+        print(f"verification FAILED: no finite z-score for {', '.join(unestimable)}",
+              file=sys.stderr)
     if worst > args.z_max:
         print(f"verification FAILED: max |z| = {worst:.2f} > {args.z_max:g}", file=sys.stderr)
+    if unestimable or worst > args.z_max:
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 
@@ -259,7 +264,8 @@ def main(argv=None) -> int:
         print(f"unstable: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
     except TooManyTypes as exc:
-        print(f"too many types: {exc} (use --allow-large to override)", file=sys.stderr)
+        hint = "" if args.allow_large else " (use --allow-large to override)"
+        print(f"too many types: {exc}{hint}", file=sys.stderr)
         return EXIT_TOO_LARGE
     except FcfsMatchError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,18 +3,18 @@
 Conditional on the waiting-type order, the distance between a matched agent
 and its good is a sum of independent geometric stage variables, one per type
 appearing at or after the match position; under Poisson arrivals each stage
-becomes exponential. Moments therefore come out of the same enumeration pass
-as the matching rates, and the generating functions are evaluated pointwise
-by a dedicated pass.
+becomes exponential. Moments therefore come out of the same subset table as
+the matching rates, as additive completions over the 2^I agent sets, and each
+generating-function point is one multiplicative completion over those sets:
+O(J * I * 2^I) steps either way.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
-from .analytic import _cached_pass, matching_rates
+from .analytic import _cached_pass, _mixture, _table, matching_rates
 from .errors import DomainError, DuplicateType, UnknownIdentifier, UnstableModel, ZeroRate
 from .model import MatchingModel
 
@@ -112,7 +112,7 @@ class DelayReport:
 
 
 def _moment_report(model: MatchingModel, cap: int | None) -> DelayReport:
-    result = _cached_pass(model, cap, True)
+    result = _table(model, cap)
     report = matching_rates(model, cap=cap)
     n = model.n_agent_types
     mu_bar = model.mu_bar
@@ -173,7 +173,7 @@ def delay_moments(model: MatchingModel, *, cap: int | None = None) -> DelayRepor
     """Means and variances of per-pair and per-agent delays.
 
     The wait fields of the returned report are filled as well: both sets of
-    moments fall out of the same enumeration pass.
+    moments come from the same subset table.
     """
     return _moment_report(model, cap)
 
@@ -183,111 +183,49 @@ def wait_moments(model: MatchingModel, *, cap: int | None = None) -> DelayReport
     return _moment_report(model, cap)
 
 
-def _pair_context(model: MatchingModel, pair, cap):
+def _pair_transform(model: MatchingModel, pair, cap, stage_factor) -> float:
+    """Mean over the pair's matches of the product of stage_factor(theta) over
+    the stages from the match position onward."""
     g, a = pair
     if g not in model.good_index or a not in model.agent_index:
         raise UnknownIdentifier(f"unknown pair ({g!r}, {a!r})")
     if not model.is_edge(g, a):
         raise ZeroRate(f"({g!r}, {a!r}) is not a compatibility edge; its rate is zero")
-    report = matching_rates(model, cap=cap)
-    r = report.rates[(g, a)]
-    if r <= 0.0:
+    table = _table(model, cap)
+    j, i = model.good_index[g], model.agent_index[a]
+    raw = table.rate_raw[j * model.n_agent_types + i]
+    if raw <= 0.0:
         raise ZeroRate(f"pair ({g!r}, {a!r}) has zero matching rate")
-    return model.good_index[g], model.agent_index[a], report.b, r
-
-
-def _mixture_value(model, j, i, cap, stage_factor):
-    """Sum over ordered subsets of weight * product of per-stage factors from
-    the match position onward, for matches of good j to agent i."""
-    n = model.n_agent_types
-    lam = model.agent_rates
-    mu = model.good_rates
-    good_masks = model.goods_of_agent
-    agents_of_good = model.agents_of_good[j]
-
-    total = 0.0
-    comp = 0.0
-
-    def walk(used, lam_set, s_mask, mu_set, weight, match_depth, factor):
-        nonlocal total, comp
-        for k in range(n):
-            if used >> k & 1:
-                continue
-            nls = lam_set + lam[k]
-            nmask = s_mask | good_masks[k]
-            nmu = mu_set
-            add_mask = nmask & ~s_mask
-            jj = 0
-            while add_mask:
-                if add_mask & 1:
-                    nmu += mu[jj]
-                add_mask >>= 1
-                jj += 1
-            theta = nmu - nls
-            x = weight * lam[k] / theta
-            depth_matches = match_depth
-            nfactor = factor
-            if depth_matches == -1 and agents_of_good >> k & 1:
-                if k == i:
-                    depth_matches = 1  # matched to the requested agent here
-                else:
-                    continue  # matched to another agent: no deeper term contributes
-            if depth_matches == 1:
-                nfactor = factor * stage_factor(theta)
-                y = x * nfactor - comp
-                t = total + y
-                comp = (t - total) - y
-                total = t
-            walk(used | 1 << k, nls, nmask, nmu, x, depth_matches, nfactor)
-
-    walk(0, 0.0, 0, 0.0, 1.0, -1, 1.0)
-    return total
+    return _mixture(model, table, j, i, stage_factor) / raw
 
 
 def delay_pgf(model: MatchingModel, pair, z: float, *, cap: int | None = None) -> float:
     """Probability generating function of the pair delay, for z in [0, 1]."""
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"z = {z!r} outside [0, 1]")
-    j, i, b, r = _pair_context(model, pair, cap)
     total_rate = model.total_rate
 
     def factor(theta: float) -> float:
         p = theta / total_rate
         return z * p / (1.0 - z * (1.0 - p))
 
-    mix = _mixture_value(model, j, i, cap, factor)
-    return (1.0 / r) * (model.good_rates[j] / model.mu_bar) * b * mix
+    return _pair_transform(model, pair, cap, factor)
 
 
 @functools.lru_cache(maxsize=64)
 def min_stage_rate(model: MatchingModel) -> float:
     """Smallest drain rate mu_{S(C)} - lambda_C over nonempty agent subsets."""
-    best = float("inf")
-    n = model.n_agent_types
-    for k in range(1, n + 1):
-        for combo in itertools.combinations(range(n), k):
-            lam_set = 0.0
-            s_mask = 0
-            for idx in combo:
-                lam_set += model.agent_rates[idx]
-                s_mask |= model.goods_of_agent[idx]
-            mu_set = sum(
-                model.good_rates[jj] for jj in range(model.n_good_types) if s_mask >> jj & 1
-            )
-            best = min(best, mu_set - lam_set)
-    return best
+    return min(_cached_pass(model).theta[1:])
 
 
 def wait_mgf(model: MatchingModel, pair, s: float, *, cap: int | None = None) -> float:
     """Moment generating function of the pair waiting time, for s below the
-    smallest stage rate reachable in the enumeration."""
+    smallest stage rate over nonempty agent subsets."""
     limit = min_stage_rate(model)
     if not s < limit:
         raise DomainError(f"s = {s!r} must lie strictly below the smallest stage rate {limit!r}")
-    j, i, b, r = _pair_context(model, pair, cap)
 
     def factor(theta: float) -> float:
         return theta / (theta - s)
 
-    mix = _mixture_value(model, j, i, cap, factor)
-    return (1.0 / r) * (model.good_rates[j] / model.mu_bar) * b * mix
+    return _pair_transform(model, pair, cap, factor)

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernel
-from .analytic import enumerate_terms, matching_rates, normalizing_constant
+from .analytic import _orders_above, matching_rates, normalizing_constant
 from .delays import delay_moments
 from .errors import DomainError, UnknownIdentifier, UnstableModel
 from .model import MatchingModel, check_stability, validate
@@ -76,6 +76,12 @@ def _ratio_estimate(num: np.ndarray, den: np.ndarray) -> Estimate:
     return Estimate(value, stderr)
 
 
+def _index(names: tuple[str, ...], name: str, side: str) -> int:
+    if name not in names:
+        raise UnknownIdentifier(f"unknown {side} type {name!r}")
+    return names.index(name)
+
+
 @dataclass
 class SimStats:
     """Raw per-batch counters of one simulation run (or a merge of runs)."""
@@ -101,17 +107,14 @@ class SimStats:
     # --- estimates ---
 
     def _pair(self, good: str, agent: str) -> tuple[int, int]:
-        try:
-            return self.good_names.index(good), self.agent_names.index(agent)
-        except ValueError as exc:
-            raise UnknownIdentifier(f"unknown pair ({good!r}, {agent!r})") from exc
+        return _index(self.good_names, good, "good"), _index(self.agent_names, agent, "agent")
 
     def rate(self, good: str, agent: str) -> Estimate:
         j, i = self._pair(good, agent)
         return _ratio_estimate(self.match_counts[:, j, i], self.goods_counts)
 
     def loss_rate(self, good: str) -> Estimate:
-        j = self.good_names.index(good)
+        j = _index(self.good_names, good, "good")
         return _ratio_estimate(self.loss_counts[:, j], self.goods_counts)
 
     def b_hat(self) -> Estimate:
@@ -146,7 +149,7 @@ class SimStats:
         return Estimate(value, stderr)
 
     def agent_delay_mean(self, agent: str) -> Estimate:
-        i = self.agent_names.index(agent)
+        i = _index(self.agent_names, agent, "agent")
         return _ratio_estimate(
             self.delay_sums[:, :, i].sum(axis=1).astype(np.float64),
             self.match_counts[:, :, i].sum(axis=1),
@@ -368,14 +371,7 @@ def _z(analytic: float, est: Estimate) -> float:
 
 def analytic_pi_y(model: MatchingModel, *, cap: int | None = None) -> dict[tuple[str, ...], float]:
     """Stationary probability of every first-appearance order, plus the empty one."""
-    b = normalizing_constant(model, cap=cap)
-    table: dict[tuple[str, ...], float] = {(): b}
-
-    def visit(term):
-        table[term.order] = b * term.weight
-
-    enumerate_terms(model, visit, cap=cap)
-    return table
+    return {(): normalizing_constant(model, cap=cap), **_orders_above(model, 0.0, cap)}
 
 
 def compare_with_analytic(
@@ -386,7 +382,11 @@ def compare_with_analytic(
     cap: int | None = None,
 ) -> list[VerifyRow]:
     """Side-by-side rows (quantity, analytic, empirical, stderr, z) for every
-    analytically computed quantity the simulator estimates."""
+    analytically computed quantity the simulator estimates.
+
+    The empty state appears once, as B. Waiting orders appear when their
+    stationary probability exceeds pi_y_threshold.
+    """
     report = matching_rates(model, cap=cap)
     delays = delay_moments(model, cap=cap)
     rows: list[VerifyRow] = []
@@ -407,10 +407,7 @@ def compare_with_analytic(
         e = stats.delay_var(g, a)
         rows.append(VerifyRow(f"delay_var[{g},{a}]", v, e.value, e.stderr, _z(v, e)))
     if stats.tracks_occupancy:
-        for order, prob in sorted(analytic_pi_y(model, cap=cap).items()):
-            if prob <= pi_y_threshold:
-                continue
+        for order, prob in sorted(_orders_above(model, pi_y_threshold, cap).items()):
             e = stats.pi_y(order)
-            label = ">".join(order) if order else "(empty)"
-            rows.append(VerifyRow(f"pi_y[{label}]", prob, e.value, e.stderr, _z(prob, e)))
+            rows.append(VerifyRow(f"pi_y[{'>'.join(order)}]", prob, e.value, e.stderr, _z(prob, e)))
     return rows

@@ -1,6 +1,6 @@
 """Independent numerical oracles for the analytic results.
 
-Two brute-force routes, deliberately separate from the package's enumeration:
+Two brute-force routes, deliberately separate from the package's subset table:
 
 * y_chain_rates: enumerates waiting-type-order states with gap counts up to a
   cap, builds the one-step transition kernel (using the conditional gap
@@ -11,14 +11,26 @@ Two brute-force routes, deliberately separate from the package's enumeration:
   sequences up to a length cap with transitions taken literally from the
   matching rule. Exponential in the cap, so only for tiny systems; used to
   cross-validate the y-chain kernel construction.
+
+Two walks over every ordered subset, through the package's public
+enumerate_terms, check the subset table term by term:
+
+* walk_sums: B, the per-pair rate sums and the six delay/wait moment sums,
+  each accumulated with math.fsum, plus the probability of every order.
+
+* mixture_value: the pair-delay generating-function sums, by a recursive walk
+  that multiplies the stage factors from the match position onward.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import scipy.sparse as sp
+
+from fcfs_match import enumerate_terms
 
 
 def _power_stationary(P: sp.csr_matrix, tol: float = 1e-14, max_iter: int = 500_000) -> np.ndarray:
@@ -199,3 +211,72 @@ def _rates_from_orders(model, weighted_orders):
     for g in loss:
         loss[g] *= mu[model.good_index[g]] / mu_bar
     return empty_prob, rates, loss
+
+
+WALK_SUMS = ("rate_raw", "de", "de2", "dv", "we", "we2", "wv")
+
+
+def walk_sums(model):
+    """(B, {name: flat (good j * I + agent i) list} for WALK_SUMS, {order: probability}).
+
+    Each term credits its weight to the first type compatible with each good,
+    times the stage sums from that match position to the end of the order.
+    """
+    n = model.n_agent_types
+    total = model.total_rate
+    terms = []
+    enumerate_terms(model, terms.append)
+    parts = {key: [[] for _ in range(model.n_good_types * n)] for key in WALK_SUMS}
+    for term in terms:
+        idx = [model.agent_index[a] for a in term.order]
+        thetas = [m - l for l, m in zip(term.prefix_lambda, term.prefix_mu)]
+        for j, compatible in enumerate(model.agents_of_good):
+            pos = next((l for l, i in enumerate(idx) if compatible >> i & 1), None)
+            if pos is None:
+                continue
+            stages = thetas[pos:]
+            ae = math.fsum(total / th for th in stages)
+            av = math.fsum((1.0 - th / total) / (th / total) ** 2 for th in stages)
+            wme = math.fsum(1.0 / th for th in stages)
+            wmv = math.fsum(1.0 / (th * th) for th in stages)
+            x = term.weight
+            values = (x, x * ae, x * ae * ae, x * av, x * wme, x * wme * wme, x * wmv)
+            for key, v in zip(WALK_SUMS, values):
+                parts[key][j * n + idx[pos]].append(v)
+    b = 1.0 / math.fsum([1.0] + [term.weight for term in terms])
+    sums = {key: [math.fsum(v) for v in lists] for key, lists in parts.items()}
+    return b, sums, {term.order: b * term.weight for term in terms}
+
+
+def mixture_value(model, j, i, stage_factor):
+    """Sum over ordered subsets of weight * product of per-stage factors from
+    the match position onward, for matches of good j to agent i."""
+    n = model.n_agent_types
+    lam = model.agent_rates
+    mu = model.good_rates
+    good_masks = model.goods_of_agent
+    agents_of_good = model.agents_of_good[j]
+    parts = []
+
+    def walk(used, lam_set, s_mask, mu_set, weight, matched, factor):
+        for k in range(n):
+            if used >> k & 1:
+                continue
+            nls = lam_set + lam[k]
+            nmask = s_mask | good_masks[k]
+            nmu = mu_set + sum(mu[jj] for jj in range(len(mu)) if (nmask & ~s_mask) >> jj & 1)
+            theta = nmu - nls
+            x = weight * lam[k] / theta
+            now_matched = matched
+            if not matched and agents_of_good >> k & 1:
+                if k != i:
+                    continue  # matched to another agent: no deeper term contributes
+                now_matched = True
+            nfactor = factor
+            if now_matched:
+                nfactor = factor * stage_factor(theta)
+                parts.append(x * nfactor)
+            walk(used | 1 << k, nls, nmask, nmu, x, now_matched, nfactor)
+
+    walk(0, 0.0, 0, 0.0, 1.0, False, 1.0)
+    return math.fsum(parts)

@@ -9,17 +9,21 @@ from fcfs_match import (
     MatchingModel,
     TooManyTypes,
     UnstableModel,
+    analytic_pi_y,
+    delay_pgf,
     enumerate_terms,
     matching_rates,
+    min_stage_rate,
     normalizing_constant,
     pi_y_perm,
     validate,
+    wait_mgf,
 )
-from fcfs_match.analytic import _rate_pass
+from fcfs_match.analytic import _orders_above, _subset_table
 from fcfs_match.errors import DuplicateType, UnknownIdentifier
 
 from conftest import make_example3x3, make_single_pair, random_stable_model
-from oracles import x_chain_rates, y_chain_rates
+from oracles import mixture_value, walk_sums, x_chain_rates, y_chain_rates
 
 # Published rate table of the 3x3 example (3-decimal rounding).
 EXPECTED_RATES_3X3 = {
@@ -72,6 +76,15 @@ def test_too_many_types_cap():
     with pytest.raises(TooManyTypes):
         _count_terms(small, cap=2)
     assert _count_terms(small, cap=3) == 15
+
+
+def test_subset_table_memory_bound():
+    # 2^30 sets would need hundreds of GiB: refused before any 2^I loop runs
+    agents = tuple((f"c{i}", 1.0 / 30) for i in range(30))
+    edges = frozenset(("s", f"c{i}") for i in range(30))
+    model = validate(MatchingModel(agents, (("s", 1.0),), edges, 0.1, 1.0))
+    with pytest.raises(TooManyTypes, match="GiB"):
+        matching_rates(model, cap=10**9)
 
 
 def test_unstable_model_rejected():
@@ -172,12 +185,43 @@ def test_rate_identities_random_models():
 
 
 def test_rate_pass_deterministic(example3x3):
-    first = _rate_pass(example3x3, cap=None, moments=True)
-    second = _rate_pass(example3x3, cap=None, moments=True)
+    first = _subset_table(example3x3)
+    second = _subset_table(example3x3)
     assert first.b == second.b
     assert first.rate_raw == second.rate_raw
     assert first.de == second.de and first.dv == second.dv
     assert first.we2 == second.we2
+
+
+def test_subset_table_matches_walk_oracle():
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        model = random_stable_model(rng, max_agents=7, max_goods=7)
+        table = _subset_table(model)
+        b, sums, orders = walk_sums(model)
+        assert table.b == pytest.approx(b, rel=1e-12)
+        for key, expected in sums.items():
+            assert getattr(table, key) == pytest.approx(expected, rel=1e-12, abs=0.0), key
+
+        n = model.n_agent_types
+        limit = min_stage_rate(model)
+        for g, a in sorted(model.edges):
+            j, i = model.good_index[g], model.agent_index[a]
+            raw = sums["rate_raw"][j * n + i]
+            for z in (0.3, 0.8):
+                p_factor = lambda th, z=z: z * (th / model.total_rate) / (
+                    1.0 - z * (1.0 - th / model.total_rate))
+                expected = mixture_value(model, j, i, p_factor) / raw
+                assert delay_pgf(model, (g, a), z) == pytest.approx(expected, rel=1e-12)
+            for s in (0.25 * limit, 0.5 * limit):
+                expected = mixture_value(model, j, i, lambda th, s=s: th / (th - s)) / raw
+                assert wait_mgf(model, (g, a), s) == pytest.approx(expected, rel=1e-12)
+
+        assert analytic_pi_y(model) == pytest.approx({(): b, **orders}, rel=1e-12)
+        for threshold in (1e-4, 1e-2):
+            kept = _orders_above(model, threshold, None)
+            expected = {o: p for o, p in orders.items() if p > threshold}
+            assert kept == pytest.approx(expected, rel=1e-12)
 
 
 def test_scale_invariance(example3x3):

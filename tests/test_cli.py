@@ -151,3 +151,26 @@ def test_verify_exit_codes(tmp_path, capsys, model_file, warm_kernel):
     assert out.splitlines()[0] == "quantity,analytic,empirical,stderr,z_score"
 
     assert main(args + ["--corrupt"]) == 5
+
+
+def test_verify_fails_on_unestimable_row(tmp_path, capsys, warm_kernel):
+    # c2 arrives once in a thousand agents: in 2e4 events too few batches see
+    # two c2 matches to estimate the spread of delay_var[s2,c2]
+    model = validate(
+        MatchingModel(
+            agent_types=(("c1", 0.999), ("c2", 0.001)),
+            good_types=(("s1", 0.5), ("s2", 0.5)),
+            edges=frozenset({("s1", "c1"), ("s2", "c1"), ("s2", "c2")}),
+            lambda_bar=0.7,
+            mu_bar=1.0,
+        )
+    )
+    args = ["verify", "--model", _model_path(tmp_path, model), "--events", "20000",
+            "--seed", "1", "--z-max", "100"]
+    assert main(args) == 5
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "quantity,analytic,empirical,stderr,z_score"
+    assert all(len(line.rsplit(",", 4)) == 5 for line in lines)
+    assert "delay_var[s2,c2],3.34" in captured.out
+    assert "delay_var[s2,c2]" in captured.err

@@ -31,7 +31,7 @@ from fcfs_match.detailed import (
     verify_reversibility,
     window_from_uniforms,
 )
-from fcfs_match.errors import DomainError, OpenWindow
+from fcfs_match.errors import DomainError, OpenWindow, UnknownIdentifier
 from fcfs_match.simulator import SimStats, run
 
 from conftest import make_example3x3, random_stable_model
@@ -286,10 +286,20 @@ def test_compare_with_analytic_rows(example3x3, warm_kernel):
     assert "loss[s2]" in names
     assert "delay_mean[s1,c1]" in names
     assert "delay_var[s3,c3]" in names
-    assert "pi_y[(empty)]" in names
+    assert "pi_y[(empty)]" not in names  # the empty state is the B row
     assert "pi_y[c1>c2]" in names
     finite = [r for r in rows if math.isfinite(r.z)]
     assert len(finite) == len(rows)
+
+
+def test_loss_rate_unknown_good_raises(warm_kernel):
+    with pytest.raises(UnknownIdentifier):
+        warm_kernel.loss_rate("zz")
+
+
+def test_agent_delay_mean_unknown_agent_raises(warm_kernel):
+    with pytest.raises(UnknownIdentifier):
+        warm_kernel.agent_delay_mean("zz")
 
 
 def test_to_json_dict_shape(example3x3, warm_kernel):
