@@ -59,14 +59,27 @@ from .model import (
     unique_users,
     validate,
 )
-from .simulator import (
-    Estimate,
-    SimStats,
-    VerifyRow,
-    analytic_pi_y,
-    compare_with_analytic,
-    run,
+
+# The simulator pulls in numpy; it loads on first use of one of these names,
+# so the analytic commands never import it.
+_SIMULATOR_NAMES = frozenset(
+    ("Estimate", "SimStats", "VerifyRow", "analytic_pi_y", "compare_with_analytic", "run")
 )
+
+
+def __getattr__(name: str):
+    if name in _SIMULATOR_NAMES:
+        from . import simulator
+
+        value = getattr(simulator, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _SIMULATOR_NAMES)
+
 
 __all__ = [
     "DEFAULT_TYPE_CAP",

@@ -24,7 +24,6 @@ from .errors import (
 )
 from .limits import sweep
 from .model import check_crp, check_stability, load_model, max_stable_rho
-from .simulator import compare_with_analytic, default_burn_in, run
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -155,6 +154,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .simulator import default_burn_in, run  # numpy loads only for the simulator commands
+
     model = load_model(args.model)
     burn_in = args.burn_in if args.burn_in >= 0 else default_burn_in(args.events)
     stats = run(model, args.events, args.seed, burn_in=burn_in)
@@ -163,6 +164,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .simulator import compare_with_analytic, default_burn_in, run
+
     model = load_model(args.model)
     burn_in = args.burn_in if args.burn_in >= 0 else default_burn_in(args.events)
     stats = run(model, args.events, args.seed, burn_in=burn_in)

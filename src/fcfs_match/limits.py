@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .analytic import RateReport, matching_rates
@@ -108,6 +107,8 @@ def sweep(model: MatchingModel, rho_grid, *, cap: int | None = None) -> SweepSer
 
     workers = min(_worker_count(), len(grid))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_point, [model] * len(grid), grid, [cap] * len(grid)))
     else:

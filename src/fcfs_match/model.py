@@ -316,6 +316,33 @@ def _agent_subsets(model: MatchingModel):
             yield mask
 
 
+def _subset_sums(model: MatchingModel) -> tuple[list[float], ...]:
+    """Per agent mask C, the lists alpha_C, lambda_C, beta_{S(C)} and mu_{S(C)}.
+
+    Each mask extends the mask without its highest type, so every sum adds its
+    terms in increasing type order, as subset_from_mask does, and the floats
+    are the same to the bit.
+    """
+    size = 1 << model.n_agent_types
+    alpha, lam, goods_of = model.alpha, model.agent_rates, model.goods_of_agent
+    freq, rate = [0.0] * size, [0.0] * size
+    good_freq, good_rate = [0.0] * size, [0.0] * size
+    goods = [0] * size
+    good_sums = {0: (0.0, 0.0)}  # by good mask; few distinct neighborhoods
+    for mask in range(1, size):
+        top = mask.bit_length() - 1
+        rest = mask ^ (1 << top)
+        freq[mask] = freq[rest] + alpha[top]
+        rate[mask] = rate[rest] + lam[top]
+        g = goods[mask] = goods[rest] | goods_of[top]
+        sums = good_sums.get(g)
+        if sums is None:
+            sub = model.subset_from_mask("good", g)
+            sums = good_sums[g] = (sub.freq, sub.rate)
+        good_freq[mask], good_rate[mask] = sums
+    return freq, rate, good_freq, good_rate
+
+
 def check_stability(model: MatchingModel) -> StabilityReport:
     """Strict inequality lambda_C < mu_{S(C)} for every nonempty agent subset.
 
@@ -323,29 +350,24 @@ def check_stability(model: MatchingModel) -> StabilityReport:
     violation lambda_C - mu_{S(C)}; ties break toward smaller cardinality, then
     lexicographic order of identifiers (guaranteed by the iteration order).
     """
+    _, rate, _, good_rate = _subset_sums(model)
     worst = None
     worst_gap = -math.inf
     for mask in _agent_subsets(model):
-        c = model.subset_from_mask("agent", mask)
-        s = compatible_goods(model, c)
-        gap = c.rate - s.rate
+        gap = rate[mask] - good_rate[mask]
         if gap >= 0.0 and gap > worst_gap:
             worst_gap = gap
-            worst = c
-    return StabilityReport(stable=worst is None, witness=worst)
+            worst = mask
+    if worst is None:
+        return StabilityReport(stable=True, witness=None)
+    return StabilityReport(stable=False, witness=model.subset_from_mask("agent", worst))
 
 
 def check_crp(model: MatchingModel) -> bool:
     """Complete resource pooling: alpha_C < beta_{S(C)} for every proper nonempty C."""
+    freq, _, good_freq, _ = _subset_sums(model)
     full = (1 << model.n_agent_types) - 1
-    for mask in _agent_subsets(model):
-        if mask == full:
-            continue
-        c = model.subset_from_mask("agent", mask)
-        s = compatible_goods(model, c)
-        if not c.freq < s.freq:
-            return False
-    return True
+    return all(freq[mask] < good_freq[mask] for mask in range(1, full))
 
 
 def max_stable_rho(model: MatchingModel) -> MaxStableRho:
@@ -356,17 +378,17 @@ def max_stable_rho(model: MatchingModel) -> MaxStableRho:
     restricts the minimum to proper subsets, which exceeds 1 exactly when the
     model has complete resource pooling.
     """
+    freq, _, good_freq, _ = _subset_sums(model)
     full = (1 << model.n_agent_types) - 1
     value = math.inf
     uncapped = math.inf
-    witness: tuple[str, ...] = ()
+    best = None
     for mask in _agent_subsets(model):
-        c = model.subset_from_mask("agent", mask)
-        s = compatible_goods(model, c)
-        ratio = s.freq / c.freq
+        ratio = good_freq[mask] / freq[mask]
         if ratio < value:
             value = ratio
-            witness = c.names
+            best = mask
         if mask != full and ratio < uncapped:
             uncapped = ratio
+    witness = () if best is None else model.subset_from_mask("agent", best).names
     return MaxStableRho(value=value, uncapped=uncapped, witness=witness)

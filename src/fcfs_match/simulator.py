@@ -5,9 +5,6 @@ per-batch counters; every estimate (matching rates, loss rates, empty-state
 probability, delay moments, waiting-list-order occupancies) carries a
 batch-means standard error. compare_with_analytic() lines the estimates up
 against the enumeration results as z-scores.
-
-The item-level reference machinery (exchange transform, reversed-time
-re-matching, detailed states) is re-exported here from the detailed module.
 """
 
 from __future__ import annotations
@@ -24,31 +21,6 @@ from .analytic import _orders_above, matching_rates, normalizing_constant
 from .delays import delay_moments
 from .errors import DomainError, UnknownIdentifier, UnstableModel
 from .model import MatchingModel, check_stability, validate
-from .detailed import (  # noqa: F401  (public simulator surface)
-    AGENT,
-    GOOD,
-    MARK_AGENT,
-    MARK_EX_AGENT,
-    MARK_EX_GOOD,
-    DetailedTracker,
-    ExchangedSequence,
-    Lost,
-    MatchWindow,
-    Matched,
-    Queued,
-    ReversibilityReport,
-    SequenceItem,
-    UnmatchedList,
-    detailed_state,
-    exchange_transform,
-    generate_item,
-    is_admissible,
-    rematch_reversed,
-    simulate_window,
-    step_fcfs,
-    verify_reversibility,
-    window_from_uniforms,
-)
 
 DEFAULT_BATCHES = 50
 MIN_BURN_IN = 10_000

@@ -20,6 +20,11 @@ enumerate_terms, check the subset table term by term:
 
 * mixture_value: the pair-delay generating-function sums, by a recursive walk
   that multiplies the stage factors from the match position onward.
+
+One brute-force pass over agent subsets checks model.py's per-mask sums:
+
+* stability_checks: check_stability, check_crp and max_stable_rho, each subset
+  drawn from itertools.combinations and its neighborhood read off the edges.
 """
 
 from __future__ import annotations
@@ -280,3 +285,35 @@ def mixture_value(model, j, i, stage_factor):
 
     walk(0, 0.0, 0, 0.0, 1.0, False, 1.0)
     return math.fsum(parts)
+
+
+def stability_checks(model):
+    """(stable, witness, crp, value, uncapped, rho witness) over every nonempty
+    agent subset, by increasing cardinality then lexicographic; a witness is
+    the first subset in that order to attain its extremum."""
+    n = model.n_agent_types
+    worst, worst_gap = None, -math.inf
+    crp = True
+    value, uncapped, rho_witness = math.inf, math.inf, ()
+    for k in range(1, n + 1):
+        for combo in itertools.combinations(range(n), k):
+            names = tuple(model.agent_names[i] for i in combo)
+            goods = [j for j, g in enumerate(model.good_names)
+                     if any(model.is_edge(g, a) for a in names)]
+            freq = rate = good_freq = good_rate = 0.0
+            for i in combo:
+                freq += model.alpha[i]
+                rate += model.agent_rates[i]
+            for j in goods:
+                good_freq += model.beta[j]
+                good_rate += model.good_rates[j]
+            gap = rate - good_rate
+            if gap >= 0.0 and gap > worst_gap:
+                worst, worst_gap = names, gap
+            ratio = good_freq / freq
+            if ratio < value:
+                value, rho_witness = ratio, names
+            if k < n:
+                crp = crp and freq < good_freq
+                uncapped = min(uncapped, ratio)
+    return worst is None, worst, crp, value, uncapped, rho_witness

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fcfs_match
 from fcfs_match import matching_rates, save_model, validate, MatchingModel
 from fcfs_match.cli import main
 
@@ -174,3 +179,62 @@ def test_verify_fails_on_unestimable_row(tmp_path, capsys, warm_kernel):
     assert all(len(line.rsplit(",", 4)) == 5 for line in lines)
     assert "delay_var[s2,c2],3.34" in captured.out
     assert "delay_var[s2,c2]" in captured.err
+
+
+# modules the analytic commands must not load: numpy and the process pool cost
+# most of a cold start, and they serve only the simulator and pooled sweeps
+HEAVY_MODULES = ("numpy", "multiprocessing", "concurrent.futures",
+                 "fcfs_match.simulator", "fcfs_match.detailed")
+
+
+def _run_fresh(code: str, *args: str) -> str:
+    """Run code in a new interpreter that imports this checkout's package."""
+    src = str(Path(fcfs_match.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env.pop("FCFS_MATCH_THREADS", None)  # a pooled sweep does load multiprocessing
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_analytic_commands_do_not_import_simulator_or_numpy(tmp_path, model_file):
+    out = tmp_path / "out.txt"
+    code = (
+        "import sys\n"
+        "import fcfs_match.cli as cli\n"
+        "for command in ('validate', 'rates', 'delays', 'waits', 'sweep'):\n"
+        "    assert cli.main([command, '--model', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+        f"print(','.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))\n"
+    )
+    assert _run_fresh(code, str(model_file), str(out)).strip() == ""
+    assert out.read_text().startswith("rho,good,agent,")
+
+
+def test_package_names_resolve_lazily():
+    code = (
+        "import sys\n"
+        "import fcfs_match\n"
+        "assert 'fcfs_match.simulator' not in sys.modules\n"
+        "listed = dir(fcfs_match)\n"
+        "missing = [n for n in fcfs_match.__all__ if n not in listed]\n"
+        "assert not missing, missing\n"
+        "assert 'fcfs_match.simulator' not in sys.modules\n"
+        "for name in fcfs_match.__all__:\n"
+        "    assert getattr(fcfs_match, name) is not None, name\n"
+        "import fcfs_match.simulator as sim\n"
+        "assert fcfs_match.run is sim.run and fcfs_match.SimStats is sim.SimStats\n"
+        "namespace = {}\n"
+        "exec('from fcfs_match import *', namespace)\n"
+        "unbound = [n for n in fcfs_match.__all__ if n not in namespace]\n"
+        "assert not unbound, unbound\n"
+        "print('ok')\n"
+    )
+    assert _run_fresh(code).strip() == "ok"
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'fcfs_match' has no attribute 'no_such_name'$"):
+        fcfs_match.no_such_name
+    assert not hasattr(fcfs_match, "no_such_name")

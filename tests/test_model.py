@@ -28,6 +28,7 @@ from fcfs_match.errors import (
 )
 
 from conftest import make_example3x3, make_single_pair, make_disjoint_pairs, random_stable_model
+from oracles import stability_checks
 
 
 def test_example3x3_is_valid(example3x3):
@@ -181,6 +182,46 @@ def test_max_stable_rho_is_the_stability_threshold():
         limit = max_stable_rho(model).value * model.mu_bar
         assert check_stability(model.with_lambda_bar(limit * 0.999)).stable
         assert not check_stability(model.with_lambda_bar(limit * 1.001)).stable
+
+
+def _stability_results(model):
+    report = check_stability(model)
+    rho = max_stable_rho(model)
+    witness = None if report.witness is None else report.witness.names
+    return report.stable, witness, check_crp(model), rho.value, rho.uncapped, rho.witness
+
+
+def _tied_model(agents, goods, edges):
+    return validate(MatchingModel(agents, goods, frozenset(edges), 1.0, 1.0))
+
+
+def test_stability_checks_match_brute_force():
+    rng = np.random.default_rng(17)
+    for _ in range(25):
+        model = random_stable_model(rng, max_agents=7, max_goods=5)
+        for scale in (1.0, 1.5, 4.0):  # stable, and overloaded so a witness exists
+            point = model.with_lambda_bar(model.lambda_bar * scale)
+            assert _stability_results(point) == stability_checks(point)
+
+
+def test_stability_witness_tie_breaks_match_brute_force():
+    # dyadic rates, so the tied violation gaps (all 0, which counts as
+    # unstable) and tied ratios are exact
+    smaller_first = _tied_model(  # {c3} ties {c1,c2}: cardinality decides
+        (("c1", 0.25), ("c2", 0.25), ("c3", 0.5)),
+        (("s1", 0.5), ("s2", 0.5)),
+        {("s1", "c1"), ("s1", "c2"), ("s2", "c3")},
+    )
+    lexicographic_first = _tied_model(  # {c1,c4} ties {c2,c3}: lowest type decides
+        (("c1", 0.25), ("c2", 0.25), ("c3", 0.25), ("c4", 0.25)),
+        (("s1", 0.5), ("s2", 0.5)),
+        {("s1", "c1"), ("s1", "c4"), ("s2", "c2"), ("s2", "c3")},
+    )
+    for model, expected in ((smaller_first, ("c3",)), (lexicographic_first, ("c1", "c4"))):
+        result = _stability_results(model)
+        assert result == stability_checks(model)
+        assert result[:2] == (False, expected)
+        assert result[3:] == (1.0, 1.0, expected)
 
 
 def test_model_json_round_trip(tmp_path, example3x3):
