@@ -6,34 +6,32 @@ set), where theta(S) = mu_{S(S)} - lambda_S depends only on the set. Each sum
 therefore factors into a forward prefix weight W(S) and a backward completion
 weight F(T) over the 2^I agent sets, the set recursion of order-independent
 queues. One cached table per model holds theta, W, F and the per-pair rate and
-delay/wait moment sums, built in O(J * I * 2^I) steps. The agent-type count is
-capped (default 12) unless explicitly overridden, and a table whose memory
-estimate exceeds half the physical memory is refused.
+delay/wait moment sums, built in O(J * I * 2^I) steps from the per-set sums
+of model._subset_sums, which refuses a model whose 2^I-set lists would not fit
+in memory. No other limit applies to the table.
 
 enumerate_terms, the depth-first walk over all e * I! ordered subsets, stays
-as public API and as the independent oracle the table is tested against.
+as public API and as the independent oracle the table is tested against. It
+is the one computation here capped at DEFAULT_TYPE_CAP agent types.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, DuplicateType, TooManyTypes, UnknownIdentifier, UnstableModel
-from .model import MatchingModel, check_stability, validate
+from .model import MatchingModel, _subset_sums, check_stability, validate
 
+# Agent types above which an e * I! walk (enumerate_terms, and
+# simulator.analytic_pi_y, which lists every order) is refused: 13 types
+# already have about 1.7e10 ordered subsets.
 DEFAULT_TYPE_CAP = 12
 
 # Prefixes whose drain margin (mu_set - lambda_set) / (lambda_bar + mu_bar) falls
 # below this are treated as unstable rather than producing astronomical weights.
 STABILITY_MARGIN = 1e-12
-
-# The table keeps 9 lists of 2^I floats (theta, W, F0 and six moment
-# completions) while it is built; a float in a list costs about 32 bytes.
-TABLE_ARRAYS = 9
-BYTES_PER_FLOAT = 32
 
 
 class PermutationTerm(NamedTuple):
@@ -74,15 +72,12 @@ def enumerate_terms(
     visit: Callable[[PermutationTerm], None],
     *,
     cap: int | None = None,
-    first_type: str | None = None,
 ) -> int:
     """Visit every nonempty ordered subset of agent types once; return the count.
 
     Visitation is depth-first, extending prefixes in declared type order, so
-    two runs see identical term sequences. With first_type the walk is
-    restricted to orders starting at that type; the full enumeration is the
-    disjoint union of these branches (in declared order), which is the unit of
-    partitioned evaluation: per-branch accumulations merge by addition.
+    two runs see identical term sequences. Models with more than cap agent
+    types (default DEFAULT_TYPE_CAP) are refused with TooManyTypes.
     """
     _check_cap(model, cap)
     report = check_stability(model)
@@ -94,14 +89,6 @@ def enumerate_terms(
     good_masks = model.goods_of_agent
     mu = model.good_rates
     total_rate = model.total_rate
-
-    if first_type is not None:
-        if first_type not in model.agent_index:
-            raise UnknownIdentifier(f"unknown agent type {first_type!r}")
-        roots = (model.agent_index[first_type],)
-    else:
-        roots = tuple(range(n))
-
     count = 0
     make = PermutationTerm
 
@@ -134,7 +121,7 @@ def enumerate_terms(
             extend(norder, npl, npm, x, nls, nmask, nmu, used | 1 << i, all_types)
 
     all_types = tuple(range(n))
-    extend((), (), (), 1.0, 0.0, 0, 0.0, 0, roots)
+    extend((), (), (), 1.0, 0.0, 0, 0.0, 0, all_types)
     return count
 
 
@@ -164,51 +151,20 @@ class _SubsetTable:
     wv: list[float]
 
 
-def _check_memory(n_agent_types: int) -> None:
-    need = (1 << n_agent_types) * TABLE_ARRAYS * BYTES_PER_FLOAT
-    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > physical / 2:
-        raise TooManyTypes(
-            f"{n_agent_types} agent types need about {need / 2**30:.3g} GiB for the subset "
-            f"table, more than half of the {physical / 2**30:.3g} GiB of physical memory"
-        )
-
-
 def _subset_table(model: MatchingModel) -> _SubsetTable:
-    """Build the table: theta and W by increasing mask, the completions by
-    decreasing mask, then the per-pair sums. Raises UnstableModel when any set
+    """Build the table: theta from the per-set sums that the stability checks
+    read, W by increasing mask, the completions by decreasing mask, then the
+    per-pair sums. Raises UnstableModel when any set
     has a drain margin below STABILITY_MARGIN."""
     n = model.n_agent_types
-    _check_memory(n)
     size = 1 << n
     lam = model.agent_rates
-    mu = model.good_rates
-    good_masks = model.goods_of_agent
     total_rate = model.total_rate
     bits = [(1 << k, lam[k]) for k in range(n)]
 
-    # theta(S) from S minus its lowest type
-    theta = [0.0] * size
-    lam_set = [0.0] * size
-    mu_set = [0.0] * size
-    goods = [0] * size
-    for s in range(1, size):
-        low = s & -s
-        rest = s ^ low
-        i = low.bit_length() - 1
-        lam_set[s] = lam_set[rest] + lam[i]
-        goods[s] = goods[rest] | good_masks[i]
-        m = mu_set[rest]
-        add = goods[s] & ~goods[rest]
-        j = 0
-        while add:
-            if add & 1:
-                m += mu[j]
-            add >>= 1
-            j += 1
-        mu_set[s] = m
-        theta[s] = m - lam_set[s]
-    del lam_set, mu_set, goods
+    lam_set, mu_set = _subset_sums(model)[1::2]
+    theta = [m - l for m, l in zip(mu_set, lam_set)]
+    del lam_set, mu_set
     worst = min(range(1, size), key=theta.__getitem__)
     if theta[worst] / total_rate < STABILITY_MARGIN:
         report = check_stability(model)
@@ -305,8 +261,8 @@ def _cached_pass(model: MatchingModel) -> _SubsetTable:
     return _subset_table(model)
 
 
-def _table(model: MatchingModel, cap: int | None) -> _SubsetTable:
-    _check_cap(model, cap)
+def _table(model: MatchingModel) -> _SubsetTable:
+    validate(model)
     return _cached_pass(model)
 
 
@@ -329,9 +285,7 @@ def _mixture(model: MatchingModel, table: _SubsetTable, j: int, i: int, stage_fa
     return _first_match_sums(model, table.w, theta, j, (h,))[0][i]
 
 
-def _orders_above(
-    model: MatchingModel, threshold: float, cap: int | None
-) -> dict[tuple[str, ...], float]:
+def _orders_above(model: MatchingModel, threshold: float) -> dict[tuple[str, ...], float]:
     """Stationary probability of every nonempty first-appearance order whose
     probability exceeds threshold, depth-first in declared type order.
 
@@ -339,7 +293,7 @@ def _orders_above(
     B * weight(P) * F0(set of P), so once that is at most threshold the walk
     skips P and all its extensions: the result is exact, not truncated.
     """
-    table = _table(model, cap)
+    table = _table(model)
     b, theta, f0 = table.b, table.theta, table.f0
     names = model.agent_names
     steps = [(names[k], 1 << k, lam_k) for k, lam_k in enumerate(model.agent_rates)]
@@ -362,12 +316,12 @@ def _orders_above(
     return found
 
 
-def normalizing_constant(model: MatchingModel, *, cap: int | None = None) -> float:
+def normalizing_constant(model: MatchingModel) -> float:
     """Probability of a perfect match (no agent waiting): 1 / (1 + sum of weights)."""
-    return _table(model, cap).b
+    return _table(model).b
 
 
-def pi_y_perm(model: MatchingModel, order, *, cap: int | None = None) -> float:
+def pi_y_perm(model: MatchingModel, order) -> float:
     """Stationary probability that the waiting agent types, in first-appearance
     order, are exactly the given sequence."""
     names = tuple(order)
@@ -378,7 +332,7 @@ def pi_y_perm(model: MatchingModel, order, *, cap: int | None = None) -> float:
     for nm in names:
         if nm not in model.agent_index:
             raise UnknownIdentifier(f"unknown agent type {nm!r}")
-    table = _table(model, cap)
+    table = _table(model)
     mask = 0
     weight = 1.0
     for nm in names:
@@ -432,7 +386,7 @@ class RateReport:
         return "\n".join(lines) + "\n"
 
 
-def matching_rates(model: MatchingModel, *, cap: int | None = None) -> RateReport:
+def matching_rates(model: MatchingModel) -> RateReport:
     """All matching rates and loss rates from the subset table.
 
     Each ordered subset credits its weight to the first compatible agent type
@@ -440,7 +394,7 @@ def matching_rates(model: MatchingModel, *, cap: int | None = None) -> RateRepor
     frequency turns the sums into rates, and the lost fraction is the good's
     frequency share minus its matched rates.
     """
-    return _build_rate_report(model, _table(model, cap))
+    return _build_rate_report(model, _table(model))
 
 
 def _build_rate_report(model: MatchingModel, result: _SubsetTable) -> RateReport:

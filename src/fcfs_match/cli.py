@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 invalid model or arguments, 3 unstable model or grid
-point, 4 type-count cap exceeded, 5 verification failure.
+point, 4 too many agent types (the lists over the 2^I agent sets would not fit
+in memory), 5 verification failure.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import sys
 
 from . import __version__
 from ._format import fmt12, round12
-from .analytic import DEFAULT_TYPE_CAP, matching_rates
-from .delays import delay_moments, wait_moments
+from .analytic import matching_rates
+from .delays import delay_moments
 from .errors import (
     FcfsMatchError,
     ModelValidationError,
@@ -42,10 +43,6 @@ def _write(args, text: str) -> None:
 
 def _emit_json(args, payload: dict) -> None:
     _write(args, json.dumps(payload, indent=2) + "\n")
-
-
-def _cap(args) -> int | None:
-    return None if not args.allow_large else 10**9
 
 
 def _rate_table(model, report) -> str:
@@ -104,7 +101,7 @@ def cmd_validate(args) -> int:
 
 def cmd_rates(args) -> int:
     model = load_model(args.model)
-    report = matching_rates(model, cap=_cap(args))
+    report = matching_rates(model)
     if args.table:
         _write(args, _rate_table(model, report))
     elif args.format == "csv":
@@ -116,8 +113,8 @@ def cmd_rates(args) -> int:
 
 def _cmd_moments(args, kind: str) -> int:
     model = load_model(args.model)
-    report = delay_moments(model, cap=_cap(args)) if kind == "delay" else wait_moments(model, cap=_cap(args))
-    pm, pv, am, av = report._tables(kind)
+    report = delay_moments(model)  # holds the wait moments too
+    pm, pv, am, av = report.tables(kind)
     if args.table:
         _write(args, _moment_table(model, pm, pv, am, av, kind))
     elif args.format == "csv":
@@ -148,7 +145,7 @@ def _grid(args) -> list[float]:
 
 def cmd_sweep(args) -> int:
     model = load_model(args.model)
-    series = sweep(model, _grid(args), cap=_cap(args))
+    series = sweep(model, _grid(args))
     _write(args, series.to_csv())
     return EXIT_OK
 
@@ -169,7 +166,7 @@ def cmd_verify(args) -> int:
     model = load_model(args.model)
     burn_in = args.burn_in if args.burn_in >= 0 else default_burn_in(args.events)
     stats = run(model, args.events, args.seed, burn_in=burn_in)
-    rows = compare_with_analytic(model, stats, cap=_cap(args))
+    rows = compare_with_analytic(model, stats)
     if args.corrupt:
         rows = [
             row._replace(analytic=row.analytic + 0.01, z=row.z - 0.01 / row.stderr)
@@ -209,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--allow-large", action="store_true",
-                       help=f"lift the {DEFAULT_TYPE_CAP}-agent-type enumeration cap")
         p.add_argument("--table", action="store_true", help="print a readable table instead")
         if needs_rng:
             p.add_argument("--events", type=int, default=1_000_000)
@@ -267,8 +262,7 @@ def main(argv=None) -> int:
         print(f"unstable: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
     except TooManyTypes as exc:
-        hint = "" if args.allow_large else " (use --allow-large to override)"
-        print(f"too many types: {exc}{hint}", file=sys.stderr)
+        print(f"too many types: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
     except FcfsMatchError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -76,7 +76,9 @@ class DelayReport:
     wait_agent_mean: dict[str, float]
     wait_agent_var: dict[str, float]
 
-    def _tables(self, kind: str):
+    def tables(self, kind: str):
+        """(pair_mean, pair_var, agent_mean, agent_var) of kind "delay" (sequence
+        positions) or "wait" (time units)."""
         if kind == "delay":
             return self.pair_mean, self.pair_var, self.agent_mean, self.agent_var
         if kind == "wait":
@@ -86,7 +88,7 @@ class DelayReport:
     def to_json_dict(self, kind: str = "delay") -> dict:
         from ._format import round12
 
-        pm, pv, am, av = self._tables(kind)
+        pm, pv, am, av = self.tables(kind)
         return {
             "pairs": {
                 f"{g},{a}": {"mean": round12(pm[(g, a)]), "variance": round12(pv[(g, a)])}
@@ -100,7 +102,7 @@ class DelayReport:
     def to_csv(self, kind: str = "delay") -> str:
         from ._format import fmt12
 
-        pm, pv, am, av = self._tables(kind)
+        pm, pv, am, av = self.tables(kind)
         lines = ["good,agent,mean,variance"]
         for (g, a) in pm:
             lines.append(f"{g},{a},{fmt12(pm[(g, a)])},{fmt12(pv[(g, a)])}")
@@ -111,9 +113,14 @@ class DelayReport:
         return "\n".join(lines) + "\n"
 
 
-def _moment_report(model: MatchingModel, cap: int | None) -> DelayReport:
-    result = _table(model, cap)
-    report = matching_rates(model, cap=cap)
+def delay_moments(model: MatchingModel) -> DelayReport:
+    """Means and variances of per-pair and per-agent delays.
+
+    The wait fields of the returned report are filled as well: both sets of
+    moments come from the same subset table.
+    """
+    result = _table(model)
+    report = matching_rates(model)
     n = model.n_agent_types
     mu_bar = model.mu_bar
 
@@ -169,21 +176,12 @@ def _moment_report(model: MatchingModel, cap: int | None) -> DelayReport:
     )
 
 
-def delay_moments(model: MatchingModel, *, cap: int | None = None) -> DelayReport:
-    """Means and variances of per-pair and per-agent delays.
-
-    The wait fields of the returned report are filled as well: both sets of
-    moments come from the same subset table.
-    """
-    return _moment_report(model, cap)
+# Waiting-time moments under the Poisson interpretation are fields of the same
+# report, so the two names are one function.
+wait_moments = delay_moments
 
 
-def wait_moments(model: MatchingModel, *, cap: int | None = None) -> DelayReport:
-    """Waiting-time moments under the Poisson interpretation (same full report)."""
-    return _moment_report(model, cap)
-
-
-def _pair_transform(model: MatchingModel, pair, cap, stage_factor) -> float:
+def _pair_transform(model: MatchingModel, pair, stage_factor) -> float:
     """Mean over the pair's matches of the product of stage_factor(theta) over
     the stages from the match position onward."""
     g, a = pair
@@ -191,7 +189,7 @@ def _pair_transform(model: MatchingModel, pair, cap, stage_factor) -> float:
         raise UnknownIdentifier(f"unknown pair ({g!r}, {a!r})")
     if not model.is_edge(g, a):
         raise ZeroRate(f"({g!r}, {a!r}) is not a compatibility edge; its rate is zero")
-    table = _table(model, cap)
+    table = _table(model)
     j, i = model.good_index[g], model.agent_index[a]
     raw = table.rate_raw[j * model.n_agent_types + i]
     if raw <= 0.0:
@@ -199,7 +197,7 @@ def _pair_transform(model: MatchingModel, pair, cap, stage_factor) -> float:
     return _mixture(model, table, j, i, stage_factor) / raw
 
 
-def delay_pgf(model: MatchingModel, pair, z: float, *, cap: int | None = None) -> float:
+def delay_pgf(model: MatchingModel, pair, z: float) -> float:
     """Probability generating function of the pair delay, for z in [0, 1]."""
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"z = {z!r} outside [0, 1]")
@@ -209,7 +207,7 @@ def delay_pgf(model: MatchingModel, pair, z: float, *, cap: int | None = None) -
         p = theta / total_rate
         return z * p / (1.0 - z * (1.0 - p))
 
-    return _pair_transform(model, pair, cap, factor)
+    return _pair_transform(model, pair, factor)
 
 
 @functools.lru_cache(maxsize=64)
@@ -218,7 +216,7 @@ def min_stage_rate(model: MatchingModel) -> float:
     return min(_cached_pass(model).theta[1:])
 
 
-def wait_mgf(model: MatchingModel, pair, s: float, *, cap: int | None = None) -> float:
+def wait_mgf(model: MatchingModel, pair, s: float) -> float:
     """Moment generating function of the pair waiting time, for s below the
     smallest stage rate over nonempty agent subsets."""
     limit = min_stage_rate(model)
@@ -228,4 +226,4 @@ def wait_mgf(model: MatchingModel, pair, s: float, *, cap: int | None = None) ->
     def factor(theta: float) -> float:
         return theta / (theta - s)
 
-    return _pair_transform(model, pair, cap, factor)
+    return _pair_transform(model, pair, factor)

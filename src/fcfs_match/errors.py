@@ -56,7 +56,12 @@ class UnstableModel(FcfsMatchError):
 
 
 class TooManyTypes(FcfsMatchError):
-    """Agent-type count exceeds the enumeration cap and no override was given."""
+    """Too many agent types for the requested computation.
+
+    Raised when the lists over the 2^I agent sets would take more than half the
+    physical memory, and when an e * I! walk over ordered subsets
+    (enumerate_terms, simulator.analytic_pi_y) exceeds its type cap.
+    """
 
 
 class ZeroRate(FcfsMatchError):

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from .analytic import RateReport, matching_rates
-from .delays import DelayReport, delay_moments
+from .analytic import matching_rates
+from .delays import delay_moments
 from .errors import DomainError, DuplicateType, UnknownIdentifier, UnstableGridPoint
 from .model import MatchingModel, max_stable_rho, validate
-
-THREADS_ENV = "FCFS_MATCH_THREADS"
 
 
 @dataclass(frozen=True)
@@ -74,26 +71,8 @@ class SweepSeries:
         return "\n".join(lines) + "\n"
 
 
-def _sweep_point(model: MatchingModel, rho: float, cap: int | None):
-    point = model.with_lambda_bar(rho * model.mu_bar)
-    return matching_rates(point, cap=cap), delay_moments(point, cap=cap)
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def sweep(model: MatchingModel, rho_grid, *, cap: int | None = None) -> SweepSeries:
-    """Compute rates and delay moments on a grid of traffic intensities.
-
-    Grid points are independent; with FCFS_MATCH_THREADS > 1 they are computed
-    by a process pool and reassembled in grid order, so output is identical to
-    the serial run.
-    """
+def sweep(model: MatchingModel, rho_grid) -> SweepSeries:
+    """Compute rates and delay moments on a grid of traffic intensities."""
     validate(model)
     grid = tuple(float(r) for r in rho_grid)
     if not grid:
@@ -105,17 +84,10 @@ def sweep(model: MatchingModel, rho_grid, *, cap: int | None = None) -> SweepSer
         if not 0.0 < rho < limit:
             raise UnstableGridPoint(rho, limit)
 
-    workers = min(_worker_count(), len(grid))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    points = [model.with_lambda_bar(rho * model.mu_bar) for rho in grid]
+    results = [(matching_rates(point), delay_moments(point)) for point in points]
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_point, [model] * len(grid), grid, [cap] * len(grid)))
-    else:
-        results = [_sweep_point(model, rho, cap) for rho in grid]
-
-    first_rates: RateReport = results[0][0]
-    first_delays: DelayReport = results[0][1]
+    first_rates, first_delays = results[0]
     rates = {
         pair: tuple(res[0].rates[pair] for res in results) for pair in first_rates.rates
     }

@@ -13,6 +13,7 @@ import functools
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
@@ -23,10 +24,17 @@ from .errors import (
     ModelValidationError,
     NonPositiveFrequency,
     NonPositiveRate,
+    TooManyTypes,
     UnknownIdentifier,
 )
 
 FREQ_TOL = 1e-12
+
+# The subset table in analytic.py, the largest user of the per-set sums, keeps
+# 9 lists of 2^I floats (theta, W, F0 and six moment completions) while it is
+# built; a float in a list costs about 32 bytes.
+TABLE_ARRAYS = 9
+BYTES_PER_FLOAT = 32
 
 
 @dataclass(frozen=True)
@@ -316,13 +324,30 @@ def _agent_subsets(model: MatchingModel):
             yield mask
 
 
+def _check_memory(model: MatchingModel) -> None:
+    """Refuse, with TooManyTypes, a model whose lists over the 2^I agent sets
+    would take more than half the physical memory."""
+    n = model.n_agent_types
+    need = (1 << n) * TABLE_ARRAYS * BYTES_PER_FLOAT
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > physical / 2:
+        steps = model.n_good_types * n * (1 << n)
+        raise TooManyTypes(
+            f"{n} agent types need about {need / 2**30:.3g} GiB for the lists over the "
+            f"2^{n} agent sets, more than half of the {physical / 2**30:.3g} GiB of physical "
+            f"memory; the subset table would take about {steps:.3g} steps (J * I * 2^I)"
+        )
+
+
 def _subset_sums(model: MatchingModel) -> tuple[list[float], ...]:
     """Per agent mask C, the lists alpha_C, lambda_C, beta_{S(C)} and mu_{S(C)}.
 
     Each mask extends the mask without its highest type, so every sum adds its
     terms in increasing type order, as subset_from_mask does, and the floats
-    are the same to the bit.
+    are the same to the bit. Raises TooManyTypes before any 2^I list is
+    allocated when the lists would not fit in memory.
     """
+    _check_memory(model)
     size = 1 << model.n_agent_types
     alpha, lam, goods_of = model.alpha, model.agent_rates, model.goods_of_agent
     freq, rate = [0.0] * size, [0.0] * size

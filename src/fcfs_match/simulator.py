@@ -17,16 +17,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _kernel
-from .analytic import _orders_above, matching_rates, normalizing_constant
+from .analytic import _check_cap, _orders_above, matching_rates, normalizing_constant
 from .delays import delay_moments
 from .errors import DomainError, UnknownIdentifier, UnstableModel
 from .model import MatchingModel, check_stability, validate
 
 DEFAULT_BATCHES = 50
 MIN_BURN_IN = 10_000
-# Public limit on n_batches, kept so that run() accepts and refuses the same
-# arguments as in earlier releases; the kernel itself needs no bound.
-MAX_BATCHES = 64
 OCCUPANCY_TYPE_LIMIT = 12  # orders of more types are too many to tally
 
 
@@ -56,7 +53,7 @@ def _index(names: tuple[str, ...], name: str, side: str) -> int:
 
 @dataclass
 class SimStats:
-    """Raw per-batch counters of one simulation run (or a merge of runs)."""
+    """Raw per-batch counters of one simulation run."""
 
     agent_names: tuple[str, ...]
     good_names: tuple[str, ...]
@@ -139,46 +136,7 @@ class SimStats:
     def events_post_burn_in(self) -> int:
         return int(self.events_counts.sum())
 
-    # --- composition and serialization ---
-
-    @classmethod
-    def merge(cls, parts) -> "SimStats":
-        """Associative counter addition across replications (fixed seed order)."""
-        parts = list(parts)
-        head = parts[0]
-        for p in parts[1:]:
-            if (p.agent_names, p.good_names, p.n_batches) != (
-                head.agent_names,
-                head.good_names,
-                head.n_batches,
-            ):
-                raise DomainError("cannot merge stats from differently shaped runs")
-        occupancy: dict[tuple[str, ...], np.ndarray] = {}
-        for p in parts:
-            for key, arr in p.occupancy.items():
-                if key in occupancy:
-                    occupancy[key] = occupancy[key] + arr
-                else:
-                    occupancy[key] = arr.copy()
-        return cls(
-            agent_names=head.agent_names,
-            good_names=head.good_names,
-            seeds=tuple(s for p in parts for s in p.seeds),
-            n_events=sum(p.n_events for p in parts),
-            burn_in=head.burn_in,
-            n_batches=head.n_batches,
-            match_counts=sum(p.match_counts for p in parts),
-            loss_counts=sum(p.loss_counts for p in parts),
-            delay_sums=sum(p.delay_sums for p in parts),
-            delay_sqs=sum(p.delay_sqs for p in parts),
-            goods_counts=sum(p.goods_counts for p in parts),
-            events_counts=sum(p.events_counts for p in parts),
-            occupancy=occupancy,
-            total_agents=sum(p.total_agents for p in parts),
-            total_goods=sum(p.total_goods for p in parts),
-            final_unmatched=sum(p.final_unmatched for p in parts),
-            tracks_occupancy=all(p.tracks_occupancy for p in parts),
-        )
+    # --- serialization ---
 
     def to_json_dict(self) -> dict:
         from ._format import round12
@@ -244,8 +202,8 @@ def run(
         burn_in = default_burn_in(n_events)
     if not 0 <= burn_in < n_events:
         raise DomainError(f"need 0 <= burn_in < n_events, got {burn_in} / {n_events}")
-    if not 1 < n_batches < MAX_BATCHES:
-        raise DomainError(f"n_batches must be in (1, {MAX_BATCHES})")
+    if n_batches < 2:
+        raise DomainError(f"n_batches must be at least 2, got {n_batches}")
     if n_events - burn_in < n_batches:
         raise DomainError("need at least one post-burn-in event per batch")
 
@@ -342,8 +300,13 @@ def _z(analytic: float, est: Estimate) -> float:
 
 
 def analytic_pi_y(model: MatchingModel, *, cap: int | None = None) -> dict[tuple[str, ...], float]:
-    """Stationary probability of every first-appearance order, plus the empty one."""
-    return {(): normalizing_constant(model, cap=cap), **_orders_above(model, 0.0, cap)}
+    """Stationary probability of every first-appearance order, plus the empty one.
+
+    The result lists all e * I! orders, so models with more than cap agent
+    types (default DEFAULT_TYPE_CAP) are refused with TooManyTypes.
+    """
+    _check_cap(model, cap)
+    return {(): normalizing_constant(model), **_orders_above(model, 0.0)}
 
 
 def compare_with_analytic(
@@ -351,7 +314,6 @@ def compare_with_analytic(
     stats: SimStats,
     *,
     pi_y_threshold: float = 1e-4,
-    cap: int | None = None,
 ) -> list[VerifyRow]:
     """Side-by-side rows (quantity, analytic, empirical, stderr, z) for every
     analytically computed quantity the simulator estimates.
@@ -359,8 +321,8 @@ def compare_with_analytic(
     The empty state appears once, as B. Waiting orders appear when their
     stationary probability exceeds pi_y_threshold.
     """
-    report = matching_rates(model, cap=cap)
-    delays = delay_moments(model, cap=cap)
+    report = matching_rates(model)
+    delays = delay_moments(model)
     rows: list[VerifyRow] = []
 
     if stats.tracks_occupancy:
@@ -379,7 +341,7 @@ def compare_with_analytic(
         e = stats.delay_var(g, a)
         rows.append(VerifyRow(f"delay_var[{g},{a}]", v, e.value, e.stderr, _z(v, e)))
     if stats.tracks_occupancy:
-        for order, prob in sorted(_orders_above(model, pi_y_threshold, cap).items()):
+        for order, prob in sorted(_orders_above(model, pi_y_threshold).items()):
             e = stats.pi_y(order)
             rows.append(VerifyRow(f"pi_y[{'>'.join(order)}]", prob, e.value, e.stderr, _z(prob, e)))
     return rows

@@ -10,9 +10,13 @@ from fcfs_match import (
     TooManyTypes,
     UnstableModel,
     analytic_pi_y,
+    check_crp,
+    check_stability,
+    delay_moments,
     delay_pgf,
     enumerate_terms,
     matching_rates,
+    max_stable_rho,
     min_stage_rate,
     normalizing_constant,
     pi_y_perm,
@@ -67,10 +71,20 @@ def test_too_many_types_cap():
     goods = (("s", 1.0),)
     edges = frozenset(("s", f"c{i}") for i in range(13))
     model = validate(MatchingModel(agents, goods, edges, 0.1, 1.0))
+    # the e * I! walks stay capped
     with pytest.raises(TooManyTypes):
         _count_terms(model)
     with pytest.raises(TooManyTypes):
-        matching_rates(model)
+        analytic_pi_y(model)
+    # the subset table is not: fully compatible, so every pair's delay is
+    # Geom((mu_bar - lambda_bar) / (lambda_bar + mu_bar)) and the model is M/M/1
+    rho, lam, mu = model.rho, model.lambda_bar, model.mu_bar
+    report = matching_rates(model)
+    assert report.b == pytest.approx(1.0 - rho, rel=1e-12)
+    for i in range(13):
+        assert report.rates[("s", f"c{i}")] == pytest.approx(rho / 13, rel=1e-12)
+    assert delay_moments(model).pair_mean[("s", "c0")] == pytest.approx(
+        (lam + mu) / (mu - lam), rel=1e-12)
     # the cap is an override, not a hard limit: lowering it bites a small model too
     small = make_example3x3()
     with pytest.raises(TooManyTypes):
@@ -79,12 +93,14 @@ def test_too_many_types_cap():
 
 
 def test_subset_table_memory_bound():
-    # 2^30 sets would need hundreds of GiB: refused before any 2^I loop runs
+    # 2^30 sets would need hundreds of GiB: the table and the stability checks,
+    # which share the per-set sums, refuse before any 2^I list is allocated
     agents = tuple((f"c{i}", 1.0 / 30) for i in range(30))
     edges = frozenset(("s", f"c{i}") for i in range(30))
     model = validate(MatchingModel(agents, (("s", 1.0),), edges, 0.1, 1.0))
-    with pytest.raises(TooManyTypes, match="GiB"):
-        matching_rates(model, cap=10**9)
+    for compute in (matching_rates, check_stability, check_crp, max_stable_rho):
+        with pytest.raises(TooManyTypes, match="GiB"):
+            compute(model)
 
 
 def test_unstable_model_rejected():
@@ -114,15 +130,6 @@ def test_visitation_order_is_depth_first_in_declared_order(example3x3):
     assert orders[2] == ("c1", "c2", "c3")
     assert orders[3] == ("c1", "c3")
     assert orders[-1] == ("c3", "c2", "c1")
-
-
-def test_partitioned_enumeration_merges_to_full(example3x3):
-    full: list = []
-    enumerate_terms(example3x3, full.append)
-    merged: list = []
-    for name in example3x3.agent_names:
-        enumerate_terms(example3x3, merged.append, first_type=name)
-    assert merged == full
 
 
 def test_normalizing_constant_single_pair_closed_form():
@@ -219,7 +226,7 @@ def test_subset_table_matches_walk_oracle():
 
         assert analytic_pi_y(model) == pytest.approx({(): b, **orders}, rel=1e-12)
         for threshold in (1e-4, 1e-2):
-            kept = _orders_above(model, threshold, None)
+            kept = _orders_above(model, threshold)
             expected = {o: p for o, p in orders.items() if p > threshold}
             assert kept == pytest.approx(expected, rel=1e-12)
 

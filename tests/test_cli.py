@@ -121,13 +121,15 @@ def test_sweep_unstable_grid_point_exits_3(tmp_path, capsys):
     assert "rho=0.8" in err  # the boundary point itself is already unstable
 
 
-def test_type_cap_exits_4(tmp_path):
-    agents = tuple((f"c{i}", 1.0 / 13) for i in range(13))
-    goods = (("s", 1.0),)
-    edges = frozenset(("s", f"c{i}") for i in range(13))
-    model = validate(MatchingModel(agents, goods, edges, 0.1, 1.0))
+def test_type_cap_exits_4(tmp_path, capsys):
+    # 2^30 agent sets would not fit in memory
+    agents = tuple((f"c{i}", 1.0 / 30) for i in range(30))
+    edges = frozenset(("s", f"c{i}") for i in range(30))
+    model = validate(MatchingModel(agents, (("s", 1.0),), edges, 0.1, 1.0))
     path = _model_path(tmp_path, model)
-    assert main(["rates", "--model", path]) == 4
+    for command in ("validate", "rates"):
+        assert main([command, "--model", path]) == 4
+        assert "GiB" in capsys.readouterr().err
 
 
 def test_unstable_model_exits_3(tmp_path):
@@ -181,8 +183,8 @@ def test_verify_fails_on_unestimable_row(tmp_path, capsys, warm_kernel):
     assert "delay_var[s2,c2]" in captured.err
 
 
-# modules the analytic commands must not load: numpy and the process pool cost
-# most of a cold start, and they serve only the simulator and pooled sweeps
+# modules the analytic commands must not load: numpy costs most of a cold
+# start and serves only the simulator; the analytic side needs no process pool
 HEAVY_MODULES = ("numpy", "multiprocessing", "concurrent.futures",
                  "fcfs_match.simulator", "fcfs_match.detailed")
 
@@ -192,7 +194,6 @@ def _run_fresh(code: str, *args: str) -> str:
     src = str(Path(fcfs_match.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    env.pop("FCFS_MATCH_THREADS", None)  # a pooled sweep does load multiprocessing
     proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -36,16 +36,6 @@ def test_theta_converges_to_light_traffic_proportions():
         assert coarser.theta[pair[1]][pair[0]] == pytest.approx(expected, rel=1e-2)
 
 
-def test_sweep_worker_pool_matches_serial(example3x3, monkeypatch):
-    grid = [0.2, 0.5, 0.8]
-    serial = sweep(example3x3, grid)
-    monkeypatch.setenv("FCFS_MATCH_THREADS", "2")
-    pooled = sweep(example3x3, grid)
-    assert pooled.rates == serial.rates
-    assert pooled.delay_mean == serial.delay_mean
-    assert pooled.loss == serial.loss
-
-
 def test_sweep_points_are_normalized(example3x3):
     grid = [k / 10 for k in range(1, 10)]
     series = sweep(example3x3, grid)

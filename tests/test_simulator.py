@@ -32,7 +32,7 @@ from fcfs_match.detailed import (
     window_from_uniforms,
 )
 from fcfs_match.errors import DomainError, OpenWindow, UnknownIdentifier
-from fcfs_match.simulator import SimStats, run
+from fcfs_match.simulator import run
 
 from conftest import make_example3x3, random_stable_model
 
@@ -133,6 +133,19 @@ def test_run_parameter_validation(example3x3):
         run(example3x3, 1_000, seed=1, burn_in=1_000)
     with pytest.raises(DomainError):
         run(example3x3, 1_000, seed=1, burn_in=990)  # fewer events than batches
+    with pytest.raises(DomainError):
+        run(example3x3, 1_000, seed=1, burn_in=0, n_batches=1)
+
+
+def test_batch_count_has_no_upper_bound(example3x3, warm_kernel):
+    # batching only splits the tallies: more batches change no total
+    few = run(example3x3, 50_000, seed=3, burn_in=1_000, n_batches=50)
+    many = run(example3x3, 50_000, seed=3, burn_in=1_000, n_batches=200)
+    assert many.n_batches == 200
+    for field in ("match_counts", "loss_counts", "delay_sums", "delay_sqs",
+                  "goods_counts", "events_counts"):
+        assert np.array_equal(getattr(many, field).sum(axis=0), getattr(few, field).sum(axis=0))
+    assert (many.total_agents, many.final_unmatched) == (few.total_agents, few.final_unmatched)
 
 
 def test_kernel_agrees_with_reference_implementation(example3x3, warm_kernel):
@@ -262,19 +275,6 @@ def test_untracked_occupancy_for_many_types():
         stats.b_hat()
     est = stats.rate("s", "c0")
     assert est.value > 0
-
-
-def test_merge_adds_counters(example3x3, warm_kernel):
-    a = run(example3x3, 30_000, seed=1, burn_in=1_000)
-    b = run(example3x3, 30_000, seed=2, burn_in=1_000)
-    merged = SimStats.merge([a, b])
-    assert merged.total_goods == a.total_goods + b.total_goods
-    assert merged.seeds == (1, 2)
-    assert np.array_equal(merged.match_counts, a.match_counts + b.match_counts)
-    key = ()
-    assert np.array_equal(merged.occupancy[key], a.occupancy[key] + b.occupancy[key])
-    est = merged.b_hat()
-    assert est.stderr < a.b_hat().stderr * 1.2  # pooled batches tighten the error
 
 
 def test_compare_with_analytic_rows(example3x3, warm_kernel):
