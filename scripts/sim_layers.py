@@ -1,0 +1,86 @@
+"""Time the simulator's layers on one model: run, kernel, the rest of run, and
+compare_with_analytic.
+
+    python3 scripts/sim_layers.py --src src --model model.json --events 200000 --seed 1
+
+--src is the source directory of the tree to measure, so two checkouts can be
+compared with the same script. Every figure is measured twice: cold, the first
+call in this fresh interpreter (the analytic table is built inside that first
+compare_with_analytic), and warm, the median of 5 further calls. The kernel
+time is the sum of the time spent inside _kernel.sim_slice during one run;
+"run minus kernel" is everything else in run: uniform draws, their
+conversion for the kernel, and the occupancy table. The last line of output
+is one JSON object.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+WARM_REPEATS = 5
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", required=True, help="source directory holding fcfs_match")
+    parser.add_argument("--model", required=True, help="model JSON file")
+    parser.add_argument("--events", type=int, required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    from fcfs_match import _kernel, simulator
+    from fcfs_match.model import load_model
+
+    kernel_s = 0.0
+    sim_slice = _kernel.sim_slice
+
+    def timed_slice(*slice_args):
+        nonlocal kernel_s
+        t = time.perf_counter()
+        try:
+            return sim_slice(*slice_args)
+        finally:
+            kernel_s += time.perf_counter() - t
+
+    _kernel.sim_slice = timed_slice
+    model = load_model(args.model)
+
+    def measure() -> dict:
+        nonlocal kernel_s
+        kernel_s = 0.0
+        t = time.perf_counter()
+        stats = simulator.run(model, args.events, args.seed)
+        run_s = time.perf_counter() - t
+        t = time.perf_counter()
+        rows = simulator.compare_with_analytic(model, stats)
+        compare_s = time.perf_counter() - t
+        return {"run_s": run_s, "kernel_s": kernel_s, "run_minus_kernel_s": run_s - kernel_s,
+                "compare_s": compare_s, "stats": stats, "rows": len(rows)}
+
+    cold = measure()
+    warm = [measure() for _ in range(WARM_REPEATS)]
+    layers = ("run_s", "kernel_s", "run_minus_kernel_s", "compare_s")
+    result = {
+        "model": args.model,
+        "events": args.events,
+        "seed": args.seed,
+        "cold": {k: round(cold[k], 6) for k in layers},
+        "warm_median": {k: round(statistics.median(w[k] for w in warm), 6) for k in layers},
+        "occupancy_keys": len(cold["stats"].occupancy),
+        "verify_rows": cold["rows"],
+    }
+    for phase in ("cold", "warm_median"):
+        print(phase, " ".join(f"{k}={v:.4f}" for k, v in result[phase].items()))
+    print(f"occupancy_keys={result['occupancy_keys']} verify_rows={result['verify_rows']}")
+    print(json.dumps(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,4 +1,4 @@
-"""Simulation kernel: directed FCFS over a slice of pre-drawn uniforms.
+"""Simulation kernel: directed FCFS over a slice of pre-coded events.
 
 Waiting agents live in one deque of arrival indices per agent type. The
 first-appearance order of the waiting list (the nonempty types sorted by the
@@ -8,14 +8,17 @@ queue's oldest agent (the type moves back by its new head, or leaves). An
 arriving good matches the first type in that order it is compatible with,
 which is the earliest-arrived compatible agent. Occupancy of each order is
 tallied as run lengths between changes.
+
+Events arrive as integer codes: t < n_agent is an agent of type t, and
+n_agent + j is a good of type j. simulator.run derives them from the
+uniforms with numpy, so the loop does no float comparison or type lookup.
+The per-batch occupancy dict is merged into one table by the caller.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 CHUNK = 1_000_000  # uniforms per rng.random((2, m)) draw
-SLICE = 8_192  # uniforms converted to Python floats at a time
+SLICE = 8_192  # events coded and converted to Python ints at a time
 
 
 class BatchTally:
@@ -34,17 +37,13 @@ class BatchTally:
         self.occupancy: dict[tuple[int, ...], int] | None = {} if track_occupancy else None
 
 
-def sim_slice(kind_u, type_u, n, p_agent, alpha_cum, beta_cum, compat, queues, order, tally):
-    """Process events n, n+1, ... drawn from the float lists kind_u and type_u.
+def sim_slice(codes, n, n_agent, compat, queues, order, tally):
+    """Process the events n, n+1, ... given by the int list codes.
 
-    alpha_cum and beta_cum are cumulative type frequencies, compat[j][i] tells
-    whether good type j serves agent type i. queues and order are mutated in
-    place and carry over to the next slice; counters go to tally. Returns the
-    number of agents that arrived.
+    compat[j][i] tells whether good type j serves agent type i. queues and
+    order are mutated in place and carry over to the next slice; counters go
+    to tally. Returns the number of agents that arrived.
     """
-    a_last = len(alpha_cum) - 1
-    g_last = len(beta_cum) - 1
-    n_agent = a_last + 1
     mc = tally.match_counts
     ds = tally.delay_sums
     dq = tally.delay_sqs
@@ -54,18 +53,17 @@ def sim_slice(kind_u, type_u, n, p_agent, alpha_cum, beta_cum, compat, queues, o
     key = tuple(order)
     run_start = n
     agents = 0
-    for ku, tu in zip(kind_u, type_u):
+    for c in codes:
         changed = False
-        if ku < p_agent:
-            t = bisect_right(alpha_cum, tu, 0, a_last)
-            q = queues[t]
+        if c < n_agent:
+            q = queues[c]
             q.append(n)
             agents += 1
             if len(q) == 1:
-                order.append(t)
+                order.append(c)
                 changed = True
         else:
-            j = bisect_right(beta_cum, tu, 0, g_last)
+            j = c - n_agent
             row = compat[j]
             for k, i in enumerate(order):
                 if row[i]:
@@ -99,5 +97,5 @@ def sim_slice(kind_u, type_u, n, p_agent, alpha_cum, beta_cum, compat, queues, o
         n += 1
     if track and n > run_start:
         occ[key] = occ.get(key, 0) + n - run_start
-    tally.goods += len(kind_u) - agents
+    tally.goods += len(codes) - agents
     return agents

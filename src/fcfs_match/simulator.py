@@ -9,6 +9,8 @@ against the enumeration results as z-scores.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -19,12 +21,13 @@ import numpy as np
 from . import _kernel
 from .analytic import _check_cap, _orders_above, matching_rates, normalizing_constant
 from .delays import delay_moments
-from .errors import DomainError, UnknownIdentifier, UnstableModel
+from .errors import DomainError, DuplicateType, UnknownIdentifier, UnstableModel
 from .model import MatchingModel, check_stability, validate
 
 DEFAULT_BATCHES = 50
 MIN_BURN_IN = 10_000
 OCCUPANCY_TYPE_LIMIT = 12  # orders of more types are too many to tally
+PI_Y_ROW_BLOCK = 128  # pi_y rows per numpy pass: bounds the temporary arrays
 
 
 class Estimate(NamedTuple):
@@ -67,7 +70,10 @@ class SimStats:
     delay_sqs: np.ndarray  # (batches, goods, agents) float64
     goods_counts: np.ndarray  # (batches,) int64
     events_counts: np.ndarray  # (batches,) int64
-    occupancy: dict[tuple[str, ...], np.ndarray]  # order tuple -> (batches,) int64
+    # (orders + 1, batches) int64: events spent in each order; the last row is
+    # all zeros, the row of every order the run never saw
+    occupancy_table: np.ndarray
+    order_rows: dict[tuple[int, ...], int]  # order of agent indices -> row of occupancy_table
     total_agents: int
     total_goods: int
     final_unmatched: int
@@ -92,8 +98,36 @@ class SimStats:
     def pi_y(self, order) -> Estimate:
         if not self.tracks_occupancy:
             raise DomainError("waiting-order occupancy was not tracked for this run")
-        counts = self.occupancy.get(tuple(order), np.zeros(self.n_batches, dtype=np.int64))
-        return _ratio_estimate(counts, self.events_counts)
+        names = tuple(order)
+        if len(set(names)) != len(names):
+            raise DuplicateType(f"order {names} repeats an agent type")
+        key = tuple(_index(self.agent_names, nm, "agent") for nm in names)
+        return _ratio_estimate(self.occupancy_table[self.order_rows.get(key, -1)], self.events_counts)
+
+    def _pi_y_rows(self, orders) -> tuple[np.ndarray, np.ndarray]:
+        """Values and standard errors of pi_y for a list of valid orders at once.
+
+        Equal, element for element, to pi_y(order): every batch holds at
+        least one event, and numpy's std along a contiguous row matches the
+        1-D std bit for bit.
+        """
+        agent_index = {nm: i for i, nm in enumerate(self.agent_names)}
+        rows = [self.order_rows.get(tuple(map(agent_index.__getitem__, o)), -1) for o in orders]
+        values = self.occupancy_table.sum(axis=1)[rows] / self.events_counts.sum()
+        stderrs = np.empty(len(rows))
+        for lo in range(0, len(rows), PI_Y_ROW_BLOCK):
+            ests = self.occupancy_table[rows[lo:lo + PI_Y_ROW_BLOCK]] / self.events_counts
+            stderrs[lo:lo + PI_Y_ROW_BLOCK] = ests.std(axis=1, ddof=1)
+        return values, stderrs / math.sqrt(self.n_batches)
+
+    @functools.cached_property
+    def occupancy(self) -> dict[tuple[str, ...], np.ndarray]:
+        """Order of agent names -> (batches,) int64 counts, as views of occupancy_table."""
+        names = self.agent_names
+        return {
+            tuple(map(names.__getitem__, key)): row
+            for key, row in zip(self.order_rows, self.occupancy_table)
+        }
 
     def delay_mean(self, good: str, agent: str) -> Estimate:
         j, i = self._pair(good, agent)
@@ -210,8 +244,11 @@ def run(
     n_agent = model.n_agent_types
     n_good = model.n_good_types
     track = n_agent <= OCCUPANCY_TYPE_LIMIT
-    alpha_cum = np.cumsum(np.asarray(model.alpha)).tolist()
-    beta_cum = np.cumsum(np.asarray(model.beta)).tolist()
+    # an item of kind uniform u_kind and type uniform u_type is agent type
+    # bisect_right(alpha_cum[:-1], u_type) if u_kind < p_agent, else good type
+    # bisect_right(beta_cum[:-1], u_type); searchsorted side="right" is the same
+    alpha_edges = np.cumsum(np.asarray(model.alpha))[:-1]
+    beta_edges = np.cumsum(np.asarray(model.beta))[:-1]
     compat = [[False] * n_agent for _ in range(n_good)]
     for g, a in model.edges:
         compat[model.good_index[g]][model.agent_index[a]] = True
@@ -225,7 +262,11 @@ def run(
     delay_sqs = np.zeros((n_batches, n_good, n_agent), dtype=np.float64)
     goods_counts = np.zeros(n_batches, dtype=np.int64)
     events_counts = np.zeros(n_batches, dtype=np.int64)
-    occ: dict[tuple[str, ...], np.ndarray] = {}
+    # occupancy entries of all batches, batch after batch: order id and count
+    order_ids: dict[tuple[int, ...], int] = {}
+    entry_ids: list[int] = []
+    entry_counts: list[int] = []
+    batch_entries: list[int] = []
 
     # event n >= burn_in falls in batch (n - burn_in) * n_batches // span
     span = n_events - burn_in
@@ -243,9 +284,14 @@ def run(
                 chunk_start, chunk_end = pos, pos + draws.shape[1]
             end = min(hi, chunk_end, pos + _kernel.SLICE)
             s, e = pos - chunk_start, end - chunk_start
+            u_type = draws[1, s:e]
+            codes = np.where(
+                draws[0, s:e] < p_agent,
+                np.searchsorted(alpha_edges, u_type, side="right"),
+                n_agent + np.searchsorted(beta_edges, u_type, side="right"),
+            )
             total_agents += _kernel.sim_slice(
-                draws[0, s:e].tolist(), draws[1, s:e].tolist(), pos,
-                p_agent, alpha_cum, beta_cum, compat, queues, order, tally,
+                codes.tolist(), pos, n_agent, compat, queues, order, tally
             )
             pos = end
         if b is None:
@@ -256,12 +302,21 @@ def run(
         loss_counts[b] = tally.loss_counts
         goods_counts[b] = tally.goods
         events_counts[b] = hi - lo
-        for key, count in (tally.occupancy or {}).items():
-            names = tuple(model.agent_names[i] for i in key)
-            if names not in occ:
-                occ[names] = np.zeros(n_batches, dtype=np.int64)
-            occ[names][b] = count
+        if track:
+            # an entry's position is its candidate id: a new order takes it,
+            # an order seen before keeps the id it got first
+            entry_ids += map(order_ids.setdefault, tally.occupancy, itertools.count(len(entry_ids)))
+            entry_counts += tally.occupancy.values()
+            batch_entries.append(len(tally.occupancy))
 
+    # one table; rows follow the orders' first appearance, then one zero row
+    table = np.zeros((len(order_ids) + 1, n_batches), dtype=np.int64)
+    if track:
+        row_of_id = np.empty(len(entry_ids), dtype=np.int64)
+        row_of_id[list(order_ids.values())] = np.arange(len(order_ids))
+        table[row_of_id[entry_ids], np.repeat(np.arange(n_batches), batch_entries)] = entry_counts
+        for row, key in enumerate(order_ids):
+            order_ids[key] = row
     return SimStats(
         agent_names=model.agent_names,
         good_names=model.good_names,
@@ -275,7 +330,8 @@ def run(
         delay_sqs=delay_sqs,
         goods_counts=goods_counts,
         events_counts=events_counts,
-        occupancy=occ,
+        occupancy_table=table,
+        order_rows=order_ids,
         total_agents=total_agents,
         total_goods=n_events - total_agents,
         final_unmatched=sum(len(q) for q in queues),
@@ -341,7 +397,8 @@ def compare_with_analytic(
         e = stats.delay_var(g, a)
         rows.append(VerifyRow(f"delay_var[{g},{a}]", v, e.value, e.stderr, _z(v, e)))
     if stats.tracks_occupancy:
-        for order, prob in sorted(_orders_above(model, pi_y_threshold).items()):
-            e = stats.pi_y(order)
+        above = sorted(_orders_above(model, pi_y_threshold).items())
+        values, stderrs = stats._pi_y_rows([order for order, _ in above])
+        for (order, prob), e in zip(above, map(Estimate, values.tolist(), stderrs.tolist())):
             rows.append(VerifyRow(f"pi_y[{'>'.join(order)}]", prob, e.value, e.stderr, _z(prob, e)))
     return rows

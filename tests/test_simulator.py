@@ -31,8 +31,9 @@ from fcfs_match.detailed import (
     verify_reversibility,
     window_from_uniforms,
 )
-from fcfs_match.errors import DomainError, OpenWindow, UnknownIdentifier
-from fcfs_match.simulator import run
+from fcfs_match import _kernel
+from fcfs_match.errors import DomainError, DuplicateType, OpenWindow, UnknownIdentifier
+from fcfs_match.simulator import _z, run
 
 from conftest import make_example3x3, random_stable_model
 
@@ -193,14 +194,23 @@ def test_pi_y_occupancy_tracks_stationary_law(example3x3, warm_kernel):
     assert checked >= 10
 
 
-def test_queue_growth_preserves_results(example3x3, warm_kernel):
-    big = run(example3x3, 60_000, seed=11, burn_in=2_000)
-    tiny = run(example3x3, 60_000, seed=11, burn_in=2_000)
-    assert np.array_equal(big.match_counts, tiny.match_counts)
-    assert np.array_equal(big.delay_sums, tiny.delay_sums)
-    assert big.occupancy.keys() == tiny.occupancy.keys()
-    for key in big.occupancy:
-        assert np.array_equal(big.occupancy[key], tiny.occupancy[key])
+_COUNTERS = ("match_counts", "loss_counts", "delay_sums", "delay_sqs", "goods_counts",
+             "events_counts", "total_agents", "total_goods", "final_unmatched")
+
+
+def test_slice_boundaries_preserve_results(example3x3, warm_kernel, monkeypatch):
+    # a slice of 97 events ends inside batches, so the kernel's state and the
+    # run-length tally of the current order carry across slice ends
+    models = (example3x3, _random_multi_type_model())
+    default = [run(model, 60_000, seed=11, burn_in=2_000) for model in models]
+    monkeypatch.setattr(_kernel, "SLICE", 97)
+    for model, ref in zip(models, default):
+        short = run(model, 60_000, seed=11, burn_in=2_000)
+        for field in _COUNTERS:
+            assert np.array_equal(getattr(short, field), getattr(ref, field)), field
+        assert list(short.occupancy) == list(ref.occupancy)
+        for key, counts in ref.occupancy.items():
+            assert np.array_equal(short.occupancy[key], counts)
 
 
 def _reference_orders(model, n_events, seed):
@@ -260,6 +270,37 @@ def test_occupancy_tally_matches_reference_orders(example3x3, which):
         j, i = model.good_index[good], model.agent_index[agent]
         delay_sqs[g_index * n_batches // n, j, i] += float(delay) * float(delay)
     assert np.array_equal(stats.delay_sqs, delay_sqs)
+
+
+def test_pi_y_rejects_unknown_and_repeated_types(warm_kernel):
+    with pytest.raises(UnknownIdentifier):
+        warm_kernel.pi_y(("zz",))
+    with pytest.raises(DuplicateType):
+        warm_kernel.pi_y(("c1", "c1"))
+    with pytest.raises(DuplicateType):
+        warm_kernel.pi_y(("c1", "c2", "c1"))
+    assert warm_kernel.pi_y(("c1", "c2")) == warm_kernel.pi_y(["c1", "c2"])
+
+
+@pytest.mark.parametrize("n_batches", [2, 50, 63])
+def test_pi_y_rows_equal_single_order_estimates(example3x3, warm_kernel, n_batches):
+    # compare_with_analytic estimates all pi_y rows as one array; each row must
+    # equal, bit for bit, the one-order estimate and its z-score
+    never_seen = 0
+    for model in (example3x3, _random_multi_type_model()):
+        stats = run(model, 20_000, seed=5, burn_in=1_000, n_batches=n_batches)
+        rows = compare_with_analytic(model, stats, pi_y_threshold=1e-7)
+        pi_rows = [r for r in rows if r.quantity.startswith("pi_y[")]
+        assert len(pi_rows) > 10
+        for row in pi_rows:
+            order = tuple(row.quantity[len("pi_y["):-1].split(">"))
+            est = stats.pi_y(order)
+            assert (row.empirical, row.stderr) == (est.value, est.stderr)
+            assert row.z == _z(row.analytic, est)
+            if order not in stats.occupancy:
+                assert (row.empirical, row.stderr, row.z) == (0.0, 0.0, math.inf)
+                never_seen += 1
+    assert never_seen > 0
 
 
 def test_untracked_occupancy_for_many_types():
