@@ -6,9 +6,11 @@ set), where theta(S) = mu_{S(S)} - lambda_S depends only on the set. Each sum
 therefore factors into a forward prefix weight W(S) and a backward completion
 weight F(T) over the 2^I agent sets, the set recursion of order-independent
 queues. One cached table per model holds theta, W, F and the per-pair rate and
-delay/wait moment sums, built in O(J * I * 2^I) steps from the per-set sums
-of model._subset_sums, which refuses a model whose 2^I-set lists would not fit
-in memory. No other limit applies to the table.
+delay/wait moment sums, built in O(J * I * 2^I) steps. Its theta is the list
+of the model's subset scan (MatchingModel.subset_scan), the same pass that
+answers the stability, pooling and rho* checks; the scan refuses a model
+whose 2^I-set lists would not fit in memory. No other limit applies to the
+table.
 
 enumerate_terms, the depth-first walk over all e * I! ordered subsets, stays
 as public API and as the independent oracle the table is tested against. It
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, DuplicateType, TooManyTypes, UnknownIdentifier, UnstableModel
-from .model import MatchingModel, _subset_sums, check_stability, validate
+from .model import MatchingModel, validate
 
 # Agent types above which an e * I! walk (enumerate_terms, and
 # simulator.analytic_pi_y, which lists every order) is refused: 13 types
@@ -59,12 +61,21 @@ def _check_cap(model: MatchingModel, cap: int | None) -> None:
         )
 
 
-def _unstable(witness) -> UnstableModel:
-    return UnstableModel(
-        f"model is unstable: agent subset {witness.names} has arrival rate "
-        f"{witness.rate!r} >= compatible good rate",
-        witness=witness,
-    )
+def _drain_rates(model: MatchingModel) -> tuple[list[float], float]:
+    """The scan's drain rates theta(S) by agent mask and their minimum over
+    nonempty sets. Raises UnstableModel, naming that set, when its drain
+    margin theta / (lambda_bar + mu_bar) is below STABILITY_MARGIN."""
+    scan = model.subset_scan
+    low = scan.theta[scan.worst]
+    if low / model.total_rate < STABILITY_MARGIN:
+        witness = model.subset_from_mask("agent", scan.worst)
+        if low <= 0.0:
+            message = (f"model is unstable: agent subset {witness.names} has arrival rate "
+                       f"{witness.rate!r} >= compatible good rate")
+        else:
+            message = f"agent subset {witness.names} has drain margin below {STABILITY_MARGIN:g}"
+        raise UnstableModel(message, witness=witness)
+    return scan.theta, low
 
 
 def enumerate_terms(
@@ -80,9 +91,7 @@ def enumerate_terms(
     types (default DEFAULT_TYPE_CAP) are refused with TooManyTypes.
     """
     _check_cap(model, cap)
-    report = check_stability(model)
-    if not report.stable:
-        raise _unstable(report.witness)
+    _drain_rates(model)
     n = model.n_agent_types
     names = model.agent_names
     lam = model.agent_rates
@@ -152,26 +161,14 @@ class _SubsetTable:
 
 
 def _subset_table(model: MatchingModel) -> _SubsetTable:
-    """Build the table: theta from the per-set sums that the stability checks
-    read, W by increasing mask, the completions by decreasing mask, then the
-    per-pair sums. Raises UnstableModel when any set
-    has a drain margin below STABILITY_MARGIN."""
+    """Build the table: theta from the model's subset scan, W by increasing
+    mask, the completions by decreasing mask, then the per-pair sums. Raises
+    UnstableModel when any set has a drain margin below STABILITY_MARGIN."""
+    theta = _drain_rates(model)[0]
     n = model.n_agent_types
     size = 1 << n
-    lam = model.agent_rates
     total_rate = model.total_rate
-    bits = [(1 << k, lam[k]) for k in range(n)]
-
-    lam_set, mu_set = _subset_sums(model)[1::2]
-    theta = [m - l for m, l in zip(mu_set, lam_set)]
-    del lam_set, mu_set
-    worst = min(range(1, size), key=theta.__getitem__)
-    if theta[worst] / total_rate < STABILITY_MARGIN:
-        report = check_stability(model)
-        if not report.stable:
-            raise _unstable(report.witness)
-        names = tuple(a for k, a in enumerate(model.agent_names) if worst >> k & 1)
-        raise UnstableModel(f"agent subset {names} has drain margin below {STABILITY_MARGIN:g}")
+    bits = [(1 << k, lam_k) for k, lam_k in enumerate(model.agent_rates)]
 
     w = [1.0] * size
     for s in range(1, size):
@@ -394,10 +391,7 @@ def matching_rates(model: MatchingModel) -> RateReport:
     frequency turns the sums into rates, and the lost fraction is the good's
     frequency share minus its matched rates.
     """
-    return _build_rate_report(model, _table(model))
-
-
-def _build_rate_report(model: MatchingModel, result: _SubsetTable) -> RateReport:
+    result = _table(model)
     n = model.n_agent_types
     mu = model.good_rates
     mu_bar = model.mu_bar

@@ -3,6 +3,10 @@
 Exit codes: 0 success, 2 invalid model or arguments, 3 unstable model or grid
 point, 4 too many agent types (the lists over the 2^I agent sets would not fit
 in memory), 5 verification failure.
+
+verify writes a 5-column CSV whose quantity field is not quoted: pair
+quantities such as rate[s1,c1] hold a comma, so split each row from the right
+(4 times) to read it.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from ._format import fmt12, round12
 from .analytic import matching_rates
 from .delays import delay_moments
 from .errors import (
+    DomainError,
     FcfsMatchError,
     ModelValidationError,
     TooManyTypes,
@@ -83,6 +88,7 @@ def cmd_validate(args) -> int:
         return EXIT_INVALID
     stability = check_stability(model)
     rho = max_stable_rho(model)
+    scan = model.subset_scan
     payload = {
         "valid": True,
         "errors": [],
@@ -94,6 +100,8 @@ def cmd_validate(args) -> int:
         "crp": check_crp(model),
         "max_stable_rho": round12(rho.value),
         "max_stable_rho_uncapped": None if rho.uncapped == float("inf") else round12(rho.uncapped),
+        "min_drain_margin": round12(scan.theta[scan.worst] / model.total_rate),
+        "min_drain_set": list(model.subset_from_mask("agent", scan.worst).names),
     }
     _emit_json(args, payload)
     return EXIT_OK
@@ -134,9 +142,9 @@ def cmd_waits(args) -> int:
 
 def _grid(args) -> list[float]:
     if args.steps < 1:
-        raise ModelValidationError([FcfsMatchError("steps must be >= 1")])
+        raise DomainError("steps must be >= 1")
     if not 0.0 < args.rho_min <= args.rho_max < 1.0:
-        raise ModelValidationError([FcfsMatchError("need 0 < rho-min <= rho-max < 1")])
+        raise DomainError("need 0 < rho-min <= rho-max < 1")
     if args.steps == 1:
         return [args.rho_min]
     step = (args.rho_max - args.rho_min) / (args.steps - 1)

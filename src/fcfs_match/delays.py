@@ -11,10 +11,9 @@ O(J * I * 2^I) steps either way.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
-from .analytic import _cached_pass, _mixture, _table, matching_rates
+from .analytic import _drain_rates, _mixture, _table, matching_rates
 from .errors import DomainError, DuplicateType, UnknownIdentifier, UnstableModel, ZeroRate
 from .model import MatchingModel
 
@@ -49,10 +48,7 @@ def geometric_stage(model: MatchingModel, prefix) -> GeometricStage:
             raise UnknownIdentifier(f"unknown agent type {nm!r}")
         lam_set += model.agent_rates[i]
         s_mask |= model.goods_of_agent[i]
-    mu_set = sum(
-        model.good_rates[j] for j in range(model.n_good_types) if s_mask >> j & 1
-    )
-    p = (mu_set - lam_set) / model.total_rate
+    p = (model.subset_from_mask("good", s_mask).rate - lam_set) / model.total_rate
     if p <= 0.0:
         raise UnstableModel(f"prefix {names} has nonpositive drain margin")
     return GeometricStage(p)
@@ -210,10 +206,9 @@ def delay_pgf(model: MatchingModel, pair, z: float) -> float:
     return _pair_transform(model, pair, factor)
 
 
-@functools.lru_cache(maxsize=64)
 def min_stage_rate(model: MatchingModel) -> float:
     """Smallest drain rate mu_{S(C)} - lambda_C over nonempty agent subsets."""
-    return min(_cached_pass(model).theta[1:])
+    return _drain_rates(model)[1]
 
 
 def wait_mgf(model: MatchingModel, pair, s: float) -> float:

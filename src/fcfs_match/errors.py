@@ -31,8 +31,11 @@ class IsolatedAgentType(ValidationIssue):
     pass
 
 
-class DuplicateIdentifier(ValidationIssue):
-    pass
+class DuplicateType(ValidationIssue):
+    """A type identifier appears more than once where distinctness is required."""
+
+
+DuplicateIdentifier = DuplicateType
 
 
 class ModelValidationError(FcfsMatchError):
@@ -41,10 +44,6 @@ class ModelValidationError(FcfsMatchError):
     def __init__(self, issues):
         self.issues = list(issues)
         super().__init__("; ".join(str(i) for i in self.issues))
-
-
-class DuplicateType(FcfsMatchError):
-    """A type identifier appears more than once where distinctness is required."""
 
 
 class UnstableModel(FcfsMatchError):

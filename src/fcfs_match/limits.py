@@ -29,11 +29,7 @@ def light_traffic_rates(model: MatchingModel) -> LightTrafficLimit:
     rates: dict[tuple[str, str], float] = {}
     theta: dict[tuple[str, str], float] = {}
     for i, (a, alpha_i) in enumerate(model.agent_types):
-        mu_nbhd = sum(
-            model.good_rates[j]
-            for j in range(model.n_good_types)
-            if model.goods_of_agent[i] >> j & 1
-        )
+        mu_nbhd = model.subset_from_mask("good", model.goods_of_agent[i]).rate
         for j, g in enumerate(model.good_names):
             if model.is_edge(g, a):
                 frac = model.good_rates[j] / mu_nbhd

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 from .errors import (
-    DuplicateIdentifier,
+    DuplicateType,
     FrequencySumError,
     IsolatedAgentType,
     ModelValidationError,
@@ -66,6 +66,20 @@ class MaxStableRho(NamedTuple):
     value: float  # stability threshold: stable iff lambda_bar/mu_bar < value
     uncapped: float  # minimum over proper nonempty subsets only (inf when I == 1)
     witness: tuple[str, ...]  # argmin agent subset for `value`
+
+
+class SubsetScan(NamedTuple):
+    """What one pass over the agent sets C, indexed by bitmask, keeps.
+
+    theta[C] = mu_{S(C)} - lambda_C is the drain rate of C (theta[0] = 0 for
+    the empty set). An argmin is the first minimizing set in check order:
+    smaller cardinality first, then lexicographic order of type indices.
+    """
+
+    theta: list[float]
+    worst: int  # argmin mask of theta; the model is unstable iff theta[worst] <= 0
+    crp: bool
+    rho: MaxStableRho
 
 
 @dataclass(frozen=True)
@@ -139,6 +153,11 @@ class MatchingModel:
         for g, a in self.edges:
             masks[self.good_index[g]] |= 1 << self.agent_index[a]
         return tuple(masks)
+
+    @functools.cached_property
+    def subset_scan(self) -> SubsetScan:
+        """The one pass over the 2^I agent sets (assumes a validated model)."""
+        return _scan_subsets(self)
 
     @property
     def n_agent_types(self) -> int:
@@ -246,7 +265,7 @@ def validate(model: MatchingModel) -> MatchingModel:
     seen: set[str] = set()
     for name, _ in itertools.chain(model.agent_types, model.good_types):
         if name in seen:
-            issues.append(DuplicateIdentifier(f"duplicate type identifier {name!r}"))
+            issues.append(DuplicateType(f"duplicate type identifier {name!r}"))
         seen.add(name)
 
     a_sum = sum(a for _, a in model.agent_types)
@@ -313,20 +332,25 @@ def unique_users(model: MatchingModel, goods: Iterable[str] | TypeSubset) -> Typ
     return model.subset_from_mask("agent", mask)
 
 
-def _agent_subsets(model: MatchingModel):
-    """Nonempty agent-index subsets, by increasing cardinality then lexicographic."""
-    n = model.n_agent_types
-    for k in range(1, n + 1):
-        for combo in itertools.combinations(range(n), k):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            yield mask
+def _first_at(values: list[float], low: float) -> int:
+    """The first nonempty mask in check order (see SubsetScan) whose value is low."""
+    tied, mask = [], 0
+    while True:
+        try:
+            mask = values.index(low, mask + 1)
+        except ValueError:
+            break
+        tied.append(mask)
+    return min(tied, key=lambda m: (m.bit_count(),
+                                    [i for i in range(m.bit_length()) if m >> i & 1]))
 
 
-def _check_memory(model: MatchingModel) -> None:
-    """Refuse, with TooManyTypes, a model whose lists over the 2^I agent sets
-    would take more than half the physical memory."""
+def _scan_subsets(model: MatchingModel) -> SubsetScan:
+    """Build the scan. The sums over each mask extend those of the mask
+    without its highest type, so every sum adds its terms in increasing type
+    order, as subset_from_mask does, and the floats are the same to the bit.
+    Raises TooManyTypes, before any 2^I list is allocated, when the lists over
+    the 2^I agent sets would take more than half the physical memory."""
     n = model.n_agent_types
     need = (1 << n) * TABLE_ARRAYS * BYTES_PER_FLOAT
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -337,62 +361,54 @@ def _check_memory(model: MatchingModel) -> None:
             f"2^{n} agent sets, more than half of the {physical / 2**30:.3g} GiB of physical "
             f"memory; the subset table would take about {steps:.3g} steps (J * I * 2^I)"
         )
+    goods = [0]  # per agent mask, the mask of its compatible goods
+    for g in model.goods_of_agent:
+        goods += [s | g for s in goods]
+    full = len(goods) - 1
+    good_freq, good_rate = {}, {}  # by good mask; few distinct neighborhoods
+    for g in set(goods):
+        sub = model.subset_from_mask("good", g)
+        good_freq[g], good_rate[g] = sub.freq, sub.rate
+    freq = [0.0]
+    for a in model.alpha:
+        freq += [f + a for f in freq]
+    ratio = [good_freq[g] / f if f else math.inf for g, f in zip(goods, freq)]  # inf at mask 0
+    del freq
+    uncapped = min(itertools.islice(ratio, 1, full), default=math.inf)
+    value = min(uncapped, ratio[full])
+    witness = model.subset_from_mask("agent", _first_at(ratio, value))
+    del ratio
+    # alpha_C < beta_{S(C)} for every proper nonempty C: for positive floats g
+    # and f, g / f rounds above 1 exactly when g > f, since g / f is then at
+    # least 1 + ulp(f) / f, more than half an ulp of 1 above 1.
+    crp = uncapped > 1.0
 
-
-def _subset_sums(model: MatchingModel) -> tuple[list[float], ...]:
-    """Per agent mask C, the lists alpha_C, lambda_C, beta_{S(C)} and mu_{S(C)}.
-
-    Each mask extends the mask without its highest type, so every sum adds its
-    terms in increasing type order, as subset_from_mask does, and the floats
-    are the same to the bit. Raises TooManyTypes before any 2^I list is
-    allocated when the lists would not fit in memory.
-    """
-    _check_memory(model)
-    size = 1 << model.n_agent_types
-    alpha, lam, goods_of = model.alpha, model.agent_rates, model.goods_of_agent
-    freq, rate = [0.0] * size, [0.0] * size
-    good_freq, good_rate = [0.0] * size, [0.0] * size
-    goods = [0] * size
-    good_sums = {0: (0.0, 0.0)}  # by good mask; few distinct neighborhoods
-    for mask in range(1, size):
-        top = mask.bit_length() - 1
-        rest = mask ^ (1 << top)
-        freq[mask] = freq[rest] + alpha[top]
-        rate[mask] = rate[rest] + lam[top]
-        g = goods[mask] = goods[rest] | goods_of[top]
-        sums = good_sums.get(g)
-        if sums is None:
-            sub = model.subset_from_mask("good", g)
-            sums = good_sums[g] = (sub.freq, sub.rate)
-        good_freq[mask], good_rate[mask] = sums
-    return freq, rate, good_freq, good_rate
+    rate = [0.0]
+    for lam in model.agent_rates:
+        rate += [r + lam for r in rate]
+    theta = [good_rate[g] - r for g, r in zip(goods, rate)]
+    del goods, rate
+    worst = _first_at(theta, min(itertools.islice(theta, 1, None)))
+    return SubsetScan(theta, worst, crp, MaxStableRho(value, uncapped, witness.names))
 
 
 def check_stability(model: MatchingModel) -> StabilityReport:
     """Strict inequality lambda_C < mu_{S(C)} for every nonempty agent subset.
 
     Equality counts as unstable. The witness is the subset with the largest
-    violation lambda_C - mu_{S(C)}; ties break toward smaller cardinality, then
-    lexicographic order of identifiers (guaranteed by the iteration order).
+    violation lambda_C - mu_{S(C)}, which is -theta(C) exactly in IEEE
+    arithmetic, so it is the scan's argmin of theta; ties break toward smaller
+    cardinality, then lexicographic order of type indices.
     """
-    _, rate, _, good_rate = _subset_sums(model)
-    worst = None
-    worst_gap = -math.inf
-    for mask in _agent_subsets(model):
-        gap = rate[mask] - good_rate[mask]
-        if gap >= 0.0 and gap > worst_gap:
-            worst_gap = gap
-            worst = mask
-    if worst is None:
+    scan = model.subset_scan
+    if scan.theta[scan.worst] > 0.0:
         return StabilityReport(stable=True, witness=None)
-    return StabilityReport(stable=False, witness=model.subset_from_mask("agent", worst))
+    return StabilityReport(stable=False, witness=model.subset_from_mask("agent", scan.worst))
 
 
 def check_crp(model: MatchingModel) -> bool:
     """Complete resource pooling: alpha_C < beta_{S(C)} for every proper nonempty C."""
-    freq, _, good_freq, _ = _subset_sums(model)
-    full = (1 << model.n_agent_types) - 1
-    return all(freq[mask] < good_freq[mask] for mask in range(1, full))
+    return model.subset_scan.crp
 
 
 def max_stable_rho(model: MatchingModel) -> MaxStableRho:
@@ -403,17 +419,4 @@ def max_stable_rho(model: MatchingModel) -> MaxStableRho:
     restricts the minimum to proper subsets, which exceeds 1 exactly when the
     model has complete resource pooling.
     """
-    freq, _, good_freq, _ = _subset_sums(model)
-    full = (1 << model.n_agent_types) - 1
-    value = math.inf
-    uncapped = math.inf
-    best = None
-    for mask in _agent_subsets(model):
-        ratio = good_freq[mask] / freq[mask]
-        if ratio < value:
-            value = ratio
-            best = mask
-        if mask != full and ratio < uncapped:
-            uncapped = ratio
-    witness = () if best is None else model.subset_from_mask("agent", best).names
-    return MaxStableRho(value=value, uncapped=uncapped, witness=witness)
+    return model.subset_scan.rho

@@ -25,6 +25,9 @@ One brute-force pass over agent subsets checks model.py's per-mask sums:
 
 * stability_checks: check_stability, check_crp and max_stable_rho, each subset
   drawn from itertools.combinations and its neighborhood read off the edges.
+
+* min_drain: the smallest drain rate mu_{S(C)} - lambda_C and the first set
+  attaining it, in the same order, for validate's min_drain_* keys.
 """
 
 from __future__ import annotations
@@ -317,3 +320,24 @@ def stability_checks(model):
                 crp = crp and freq < good_freq
                 uncapped = min(uncapped, ratio)
     return worst is None, worst, crp, value, uncapped, rho_witness
+
+
+def min_drain(model):
+    """(theta, names): the smallest mu_{S(C)} - lambda_C over nonempty agent
+    subsets and the first subset attaining it, by increasing cardinality then
+    lexicographic."""
+    n = model.n_agent_types
+    best, names = math.inf, None
+    for k in range(1, n + 1):
+        for combo in itertools.combinations(range(n), k):
+            subset = tuple(model.agent_names[i] for i in combo)
+            goods = [j for j, g in enumerate(model.good_names)
+                     if any(model.is_edge(g, a) for a in subset)]
+            rate = good_rate = 0.0
+            for i in combo:
+                rate += model.agent_rates[i]
+            for j in goods:
+                good_rate += model.good_rates[j]
+            if good_rate - rate < best:
+                best, names = good_rate - rate, subset
+    return best, names

@@ -6,13 +6,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fcfs_match
 from fcfs_match import matching_rates, save_model, validate, MatchingModel
+from fcfs_match._format import round12
 from fcfs_match.cli import main
 
-from conftest import make_disjoint_pairs, make_example3x3
+from conftest import make_disjoint_pairs, make_example3x3, random_stable_model
+from oracles import min_drain
 
 
 def _model_path(tmp_path, model, name="model.json"):
@@ -47,6 +50,22 @@ def test_validate_shows_instability_witness(tmp_path, capsys):
     assert payload["stable"] is False
     assert payload["witness"] == ["c1"]
     assert payload["max_stable_rho"] == pytest.approx(0.8)
+
+
+def test_validate_reports_min_drain_set(tmp_path, capsys):
+    rng = np.random.default_rng(23)
+    models = [make_example3x3(), make_disjoint_pairs().with_lambda_bar(0.9)]
+    for _ in range(8):
+        model = random_stable_model(rng, max_agents=7)
+        models += [model, model.with_lambda_bar(model.lambda_bar * 4.0)]
+    for model in models:
+        assert main(["validate", "--model", _model_path(tmp_path, model)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        theta, names = min_drain(model)
+        assert payload["min_drain_margin"] == round12(theta / model.total_rate)
+        assert payload["min_drain_set"] == list(names)
+        if not payload["stable"]:
+            assert payload["witness"] == payload["min_drain_set"]
 
 
 def test_rates_table_matches_published_values(capsys, model_file):
@@ -119,6 +138,15 @@ def test_sweep_unstable_grid_point_exits_3(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "rho=0.8" in err  # the boundary point itself is already unstable
+
+
+def test_sweep_bad_grid_arguments_exit_2(tmp_path, capsys, model_file):
+    for extra, message in ((["--steps", "0"], "steps must be >= 1"),
+                           (["--rho-min", "0.9", "--rho-max", "0.5"], "need 0 < rho-min")):
+        assert main(["sweep", "--model", str(model_file), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "invalid model" not in err
 
 
 def test_type_cap_exits_4(tmp_path, capsys):

@@ -17,9 +17,11 @@ from fcfs_match import (
     wait_mgf,
     wait_moments,
 )
+from fcfs_match.analytic import _cached_pass
 from fcfs_match.errors import DuplicateType, UnknownIdentifier
 
 from conftest import make_example3x3, make_single_pair, random_stable_model
+from oracles import min_drain
 
 # Published delay/wait tables of the 3x3 example at rho = 0.7, 2-decimal.
 # Two cells of the published pair table are internally inconsistent with the
@@ -184,6 +186,15 @@ def test_mgf_domain(example3x3):
         wait_mgf(example3x3, ("s1", "c1"), limit)
     with pytest.raises(DomainError):
         wait_mgf(example3x3, ("s1", "c1"), limit + 0.1)
+
+
+def test_min_stage_rate_builds_no_table():
+    model = make_example3x3(lambda_bar=0.55)
+    before = _cached_pass.cache_info()
+    assert min_stage_rate(model) == min_drain(model)[0]
+    assert _cached_pass.cache_info() == before
+    with pytest.raises(UnstableModel):
+        min_stage_rate(make_example3x3(lambda_bar=1.0))
 
 
 def test_delay_report_serialization_round_trip(example3x3):

@@ -10,21 +10,29 @@ from fcfs_match import (
     MatchingModel,
     ModelValidationError,
     UnknownIdentifier,
+    UnstableModel,
     check_crp,
     check_stability,
     compatible_agents,
     compatible_goods,
     load_model,
+    matching_rates,
     max_stable_rho,
+    min_stage_rate,
     save_model,
     unique_users,
     validate,
 )
+from fcfs_match import model as model_module
+from fcfs_match.analytic import _cached_pass
 from fcfs_match.errors import (
+    DuplicateIdentifier,
+    DuplicateType,
     FrequencySumError,
     IsolatedAgentType,
     NonPositiveFrequency,
     NonPositiveRate,
+    ValidationIssue,
 )
 
 from conftest import make_example3x3, make_single_pair, make_disjoint_pairs, random_stable_model
@@ -46,6 +54,21 @@ def test_frequency_sum_error():
     with pytest.raises(ModelValidationError) as exc:
         validate(model)
     assert any(isinstance(i, FrequencySumError) for i in exc.value.issues)
+
+
+def test_duplicate_identifier_is_one_validation_issue():
+    assert DuplicateIdentifier is DuplicateType
+    assert issubclass(DuplicateType, ValidationIssue)
+    model = MatchingModel(
+        agent_types=(("c1", 0.5), ("c1", 0.5)),
+        good_types=(("s1", 1.0),),
+        edges=frozenset({("s1", "c1")}),
+        lambda_bar=0.5,
+        mu_bar=1.0,
+    )
+    with pytest.raises(ModelValidationError) as exc:
+        validate(model)
+    assert [type(i) for i in exc.value.issues] == [DuplicateType]
 
 
 def test_isolated_agent_type_rejected():
@@ -204,7 +227,8 @@ def test_stability_checks_match_brute_force():
             assert _stability_results(point) == stability_checks(point)
 
 
-def test_stability_witness_tie_breaks_match_brute_force():
+def _tied_models():
+    """Models whose checks tie, with the witness check order picks."""
     # dyadic rates, so the tied violation gaps (all 0, which counts as
     # unstable) and tied ratios are exact
     smaller_first = _tied_model(  # {c3} ties {c1,c2}: cardinality decides
@@ -217,11 +241,41 @@ def test_stability_witness_tie_breaks_match_brute_force():
         (("s1", 0.5), ("s2", 0.5)),
         {("s1", "c1"), ("s1", "c4"), ("s2", "c2"), ("s2", "c3")},
     )
-    for model, expected in ((smaller_first, ("c3",)), (lexicographic_first, ("c1", "c4"))):
+    return ((smaller_first, ("c3",)), (lexicographic_first, ("c1", "c4")))
+
+
+def test_stability_witness_tie_breaks_match_brute_force():
+    for model, expected in _tied_models():
         result = _stability_results(model)
         assert result == stability_checks(model)
         assert result[:2] == (False, expected)
         assert result[3:] == (1.0, 1.0, expected)
+
+
+def test_table_names_the_stability_witness_on_ties():
+    for model, expected in _tied_models():
+        with pytest.raises(UnstableModel) as caught:
+            matching_rates(model)
+        assert caught.value.witness.names == check_stability(model).witness.names == expected
+
+
+def test_one_subset_scan_per_model(monkeypatch):
+    builds = []
+    build = model_module._scan_subsets
+
+    def counting(model):
+        builds.append(model)
+        return build(model)
+
+    monkeypatch.setattr(model_module, "_scan_subsets", counting)
+    _cached_pass.cache_clear()
+    model = make_example3x3(lambda_bar=0.65)
+    for compute in (check_stability, check_crp, max_stable_rho, matching_rates, min_stage_rate):
+        compute(model)
+    assert builds == [model]
+    # a new instance, here one with another load, scans afresh
+    check_stability(model.with_lambda_bar(0.6))
+    assert len(builds) == 2
 
 
 def test_model_json_round_trip(tmp_path, example3x3):
