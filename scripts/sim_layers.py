@@ -1,5 +1,5 @@
 """Time the simulator's layers on one model: run, kernel, the rest of run, and
-compare_with_analytic.
+compare_with_analytic; and measure their memory.
 
     python3 scripts/sim_layers.py --src src --model model.json --events 200000 --seed 1
 
@@ -9,17 +9,25 @@ call in this fresh interpreter (the analytic table is built inside that first
 compare_with_analytic), and warm, the median of 5 further calls. The kernel
 time is the sum of the time spent inside _kernel.sim_slice during one run;
 "run minus kernel" is everything else in run: uniform draws, their
-conversion for the kernel, and the occupancy table. The last line of output
-is one JSON object.
+conversion for the kernel, and the occupancy entries.
+
+Memory comes after the timed calls, of which only the cold run's statistics
+stay alive: first the process's peak RSS (ru_maxrss), then the tracemalloc
+peak of one more run and of one more compare_with_analytic (its analytic
+tables already cached). occupancy_entries counts the (order, batch) cells
+with events, occupancy_keys the orders. The last line of output is one JSON
+object.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 WARM_REPEATS = 5
@@ -34,6 +42,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(Path(args.src).resolve()))
+    import numpy as np
     from fcfs_match import _kernel, simulator
     from fcfs_match.model import load_model
 
@@ -51,7 +60,7 @@ def main(argv: list[str] | None = None) -> int:
     _kernel.sim_slice = timed_slice
     model = load_model(args.model)
 
-    def measure() -> dict:
+    def measure() -> tuple[dict, object, int]:
         nonlocal kernel_s
         kernel_s = 0.0
         t = time.perf_counter()
@@ -60,24 +69,45 @@ def main(argv: list[str] | None = None) -> int:
         t = time.perf_counter()
         rows = simulator.compare_with_analytic(model, stats)
         compare_s = time.perf_counter() - t
-        return {"run_s": run_s, "kernel_s": kernel_s, "run_minus_kernel_s": run_s - kernel_s,
-                "compare_s": compare_s, "stats": stats, "rows": len(rows)}
+        times = {"run_s": run_s, "kernel_s": kernel_s, "run_minus_kernel_s": run_s - kernel_s,
+                 "compare_s": compare_s}
+        return times, stats, len(rows)
 
-    cold = measure()
-    warm = [measure() for _ in range(WARM_REPEATS)]
+    def traced_peak_mb(fn, *fn_args):
+        tracemalloc.start()
+        try:
+            out = fn(*fn_args)
+            return out, tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    cold, stats, n_rows = measure()
+    warm = [measure()[0] for _ in range(WARM_REPEATS)]
     layers = ("run_s", "kernel_s", "run_minus_kernel_s", "compare_s")
+    max_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    traced, run_peak = traced_peak_mb(simulator.run, model, args.events, args.seed)
+    _, compare_peak = traced_peak_mb(simulator.compare_with_analytic, model, traced)
     result = {
         "model": args.model,
         "events": args.events,
         "seed": args.seed,
         "cold": {k: round(cold[k], 6) for k in layers},
         "warm_median": {k: round(statistics.median(w[k] for w in warm), 6) for k in layers},
-        "occupancy_keys": len(cold["stats"].occupancy),
-        "verify_rows": cold["rows"],
+        "memory_mb": {
+            "run_traced_peak": round(run_peak, 3),
+            "compare_traced_peak": round(compare_peak, 3),
+            "ru_maxrss": round(max_rss_mb, 2),
+        },
+        "occupancy_keys": len(stats.order_rows),
+        # trees before the sparse entries kept a dense (orders + 1, batches) table
+        "occupancy_entries": (len(stats.entry_counts) if hasattr(stats, "entry_counts")
+                              else int(np.count_nonzero(stats.occupancy_table))),
+        "verify_rows": n_rows,
     }
-    for phase in ("cold", "warm_median"):
+    for phase in ("cold", "warm_median", "memory_mb"):
         print(phase, " ".join(f"{k}={v:.4f}" for k, v in result[phase].items()))
-    print(f"occupancy_keys={result['occupancy_keys']} verify_rows={result['verify_rows']}")
+    print(f"occupancy_keys={result['occupancy_keys']} "
+          f"occupancy_entries={result['occupancy_entries']} verify_rows={result['verify_rows']}")
     print(json.dumps(result))
     return 0
 

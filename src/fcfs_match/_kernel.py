@@ -12,12 +12,15 @@ tallied as run lengths between changes.
 Events arrive as integer codes: t < n_agent is an agent of type t, and
 n_agent + j is a good of type j. simulator.run derives them from the
 uniforms with numpy, so the loop does no float comparison or type lookup.
-The per-batch occupancy dict is merged into one table by the caller.
+The caller merges each batch's occupancy dict into sparse (order row, batch,
+count) entries.
 """
 
 from __future__ import annotations
 
-CHUNK = 1_000_000  # uniforms per rng.random((2, m)) draw
+# items per chunk of the uniform stream, which reads as rng.random((2, CHUNK)):
+# the stream's layout, not a buffer size, so changing it changes every result
+CHUNK = 1_000_000
 SLICE = 8_192  # events coded and converted to Python ints at a time
 
 

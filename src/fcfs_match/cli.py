@@ -171,6 +171,8 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     from .simulator import compare_with_analytic, default_burn_in, run
 
+    if not args.z_max > 0:  # NaN would pass every row
+        raise DomainError(f"--z-max must be positive, got {args.z_max:g}")
     model = load_model(args.model)
     burn_in = args.burn_in if args.burn_in >= 0 else default_burn_in(args.events)
     stats = run(model, args.events, args.seed, burn_in=burn_in)

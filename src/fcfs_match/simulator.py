@@ -70,10 +70,12 @@ class SimStats:
     delay_sqs: np.ndarray  # (batches, goods, agents) float64
     goods_counts: np.ndarray  # (batches,) int64
     events_counts: np.ndarray  # (batches,) int64
-    # (orders + 1, batches) int64: events spent in each order; the last row is
-    # all zeros, the row of every order the run never saw
-    occupancy_table: np.ndarray
-    order_rows: dict[tuple[int, ...], int]  # order of agent indices -> row of occupancy_table
+    # occupancy entries, one per (order, batch) cell with events in it, batch
+    # after batch; each (entries,) int64: the order's row, the batch, the events
+    entry_rows: np.ndarray
+    entry_batches: np.ndarray
+    entry_counts: np.ndarray
+    order_rows: dict[tuple[int, ...], int]  # order of agent indices -> row, by first appearance
     total_agents: int
     total_goods: int
     final_unmatched: int
@@ -102,32 +104,42 @@ class SimStats:
         if len(set(names)) != len(names):
             raise DuplicateType(f"order {names} repeats an agent type")
         key = tuple(_index(self.agent_names, nm, "agent") for nm in names)
-        return _ratio_estimate(self.occupancy_table[self.order_rows.get(key, -1)], self.events_counts)
+        row = self._dense_rows(np.array([self.order_rows.get(key, -1)]))[0]
+        return _ratio_estimate(row, self.events_counts)
+
+    def _dense_rows(self, rows: np.ndarray) -> np.ndarray:
+        """(len(rows), batches) int64 occupancy of distinct rows; row -1 is all zeros."""
+        # entries of rows not asked for land in one spare row, dropped at the end;
+        # row -1 indexes the last slot, which no entry reads
+        slot = np.full(len(self.order_rows) + 1, len(rows))
+        slot[rows] = np.arange(len(rows))
+        dense = np.zeros((len(rows) + 1, self.n_batches), dtype=np.int64)
+        dense[slot[self.entry_rows], self.entry_batches] = self.entry_counts
+        return dense[:-1]
 
     def _pi_y_rows(self, orders) -> tuple[np.ndarray, np.ndarray]:
-        """Values and standard errors of pi_y for a list of valid orders at once.
+        """Values and standard errors of pi_y for a list of distinct valid orders.
 
         Equal, element for element, to pi_y(order): every batch holds at
         least one event, and numpy's std along a contiguous row matches the
-        1-D std bit for bit.
+        1-D std bit for bit. Only the asked orders get dense rows.
         """
         agent_index = {nm: i for i, nm in enumerate(self.agent_names)}
         rows = [self.order_rows.get(tuple(map(agent_index.__getitem__, o)), -1) for o in orders]
-        values = self.occupancy_table.sum(axis=1)[rows] / self.events_counts.sum()
+        counts = self._dense_rows(np.array(rows, dtype=np.int64))
+        values = counts.sum(axis=1) / self.events_counts.sum()
         stderrs = np.empty(len(rows))
         for lo in range(0, len(rows), PI_Y_ROW_BLOCK):
-            ests = self.occupancy_table[rows[lo:lo + PI_Y_ROW_BLOCK]] / self.events_counts
+            ests = counts[lo:lo + PI_Y_ROW_BLOCK] / self.events_counts
             stderrs[lo:lo + PI_Y_ROW_BLOCK] = ests.std(axis=1, ddof=1)
         return values, stderrs / math.sqrt(self.n_batches)
 
     @functools.cached_property
     def occupancy(self) -> dict[tuple[str, ...], np.ndarray]:
-        """Order of agent names -> (batches,) int64 counts, as views of occupancy_table."""
+        """Order of agent names -> (batches,) int64 counts, in order of first appearance."""
         names = self.agent_names
-        return {
-            tuple(map(names.__getitem__, key)): row
-            for key, row in zip(self.order_rows, self.occupancy_table)
-        }
+        table = self._dense_rows(np.arange(len(self.order_rows)))
+        return {tuple(map(names.__getitem__, key)): row for key, row in zip(self.order_rows, table)}
 
     def delay_mean(self, good: str, agent: str) -> Estimate:
         j, i = self._pair(good, agent)
@@ -224,9 +236,11 @@ def run(
 ) -> SimStats:
     """Simulate n_events items from the empty state and tally outcomes.
 
-    Statistics ignore the first burn_in events. The uniform stream is drawn
-    from numpy's default generator in fixed-size chunks, two uniforms per item
-    (kind, then type), so identical arguments give bit-identical stats.
+    Statistics ignore the first burn_in events. The uniform stream is numpy's
+    default generator read as rng.random((2, m)) per chunk of m = _kernel.CHUNK
+    items (the last chunk shorter): a row of kind uniforms, then a row of type
+    uniforms, so identical arguments give bit-identical stats. The rows are
+    drawn a slice at a time, never a whole chunk.
     """
     validate(model)
     report = check_stability(model)
@@ -240,6 +254,8 @@ def run(
         raise DomainError(f"n_batches must be at least 2, got {n_batches}")
     if n_events - burn_in < n_batches:
         raise DomainError("need at least one post-burn-in event per batch")
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
 
     n_agent = model.n_agent_types
     n_good = model.n_good_types
@@ -273,20 +289,25 @@ def run(
     starts = [burn_in + -(-b * span // n_batches) for b in range(n_batches + 1)]
     segments = [(0, burn_in, None)] + [(starts[b], starts[b + 1], b) for b in range(n_batches)]
 
-    rng = np.random.default_rng(seed)
+    # one generator reads each row; at a chunk's start the kind generator
+    # skips the previous chunk's type row and the type generator this chunk's
+    # kind row
+    kind_rng = np.random.default_rng(seed)
+    type_rng = np.random.default_rng(seed)
     total_agents = 0
-    pos = chunk_start = chunk_end = 0
+    m = pos = chunk_end = 0
     for lo, hi, b in segments:
         tally = _kernel.BatchTally(n_good, n_agent, track and b is not None)
         while pos < hi:
             if pos == chunk_end:
-                draws = rng.random((2, min(_kernel.CHUNK, n_events - pos)))
-                chunk_start, chunk_end = pos, pos + draws.shape[1]
+                kind_rng.bit_generator.advance(m)
+                m = min(_kernel.CHUNK, n_events - pos)
+                type_rng.bit_generator.advance(m)
+                chunk_end = pos + m
             end = min(hi, chunk_end, pos + _kernel.SLICE)
-            s, e = pos - chunk_start, end - chunk_start
-            u_type = draws[1, s:e]
+            u_type = type_rng.random(end - pos)
             codes = np.where(
-                draws[0, s:e] < p_agent,
+                kind_rng.random(end - pos) < p_agent,
                 np.searchsorted(alpha_edges, u_type, side="right"),
                 n_agent + np.searchsorted(beta_edges, u_type, side="right"),
             )
@@ -309,14 +330,11 @@ def run(
             entry_counts += tally.occupancy.values()
             batch_entries.append(len(tally.occupancy))
 
-    # one table; rows follow the orders' first appearance, then one zero row
-    table = np.zeros((len(order_ids) + 1, n_batches), dtype=np.int64)
-    if track:
-        row_of_id = np.empty(len(entry_ids), dtype=np.int64)
-        row_of_id[list(order_ids.values())] = np.arange(len(order_ids))
-        table[row_of_id[entry_ids], np.repeat(np.arange(n_batches), batch_entries)] = entry_counts
-        for row, key in enumerate(order_ids):
-            order_ids[key] = row
+    # rows follow the orders' first appearance
+    row_of_id = np.empty(len(entry_ids), dtype=np.int64)
+    row_of_id[list(order_ids.values())] = np.arange(len(order_ids))
+    for row, key in enumerate(order_ids):
+        order_ids[key] = row
     return SimStats(
         agent_names=model.agent_names,
         good_names=model.good_names,
@@ -330,7 +348,9 @@ def run(
         delay_sqs=delay_sqs,
         goods_counts=goods_counts,
         events_counts=events_counts,
-        occupancy_table=table,
+        entry_rows=row_of_id[entry_ids],
+        entry_batches=np.repeat(np.arange(len(batch_entries)), batch_entries),
+        entry_counts=np.array(entry_counts, dtype=np.int64),
         order_rows=order_ids,
         total_agents=total_agents,
         total_goods=n_events - total_agents,

@@ -188,10 +188,10 @@ def test_verify_exit_codes(tmp_path, capsys, model_file, warm_kernel):
     assert main(args + ["--corrupt"]) == 5
 
 
-def test_verify_fails_on_unestimable_row(tmp_path, capsys, warm_kernel):
+def _rare_c2_model():
     # c2 arrives once in a thousand agents: in 2e4 events too few batches see
     # two c2 matches to estimate the spread of delay_var[s2,c2]
-    model = validate(
+    return validate(
         MatchingModel(
             agent_types=(("c1", 0.999), ("c2", 0.001)),
             good_types=(("s1", 0.5), ("s2", 0.5)),
@@ -200,7 +200,10 @@ def test_verify_fails_on_unestimable_row(tmp_path, capsys, warm_kernel):
             mu_bar=1.0,
         )
     )
-    args = ["verify", "--model", _model_path(tmp_path, model), "--events", "20000",
+
+
+def test_verify_fails_on_unestimable_row(tmp_path, capsys, warm_kernel):
+    args = ["verify", "--model", _model_path(tmp_path, _rare_c2_model()), "--events", "20000",
             "--seed", "1", "--z-max", "100"]
     assert main(args) == 5
     captured = capsys.readouterr()
@@ -209,6 +212,31 @@ def test_verify_fails_on_unestimable_row(tmp_path, capsys, warm_kernel):
     assert all(len(line.rsplit(",", 4)) == 5 for line in lines)
     assert "delay_var[s2,c2],3.34" in captured.out
     assert "delay_var[s2,c2]" in captured.err
+
+
+def test_verify_rejects_nan_or_nonpositive_z_max(tmp_path, capsys, model_file, warm_kernel):
+    # a NaN bound would pass every row, the corrupted ones too
+    args = ["verify", "--model", str(model_file), "--events", "20000", "--seed", "1", "--corrupt"]
+    for z_max in ("nan", "0", "-1"):
+        assert main(args + ["--z-max", z_max]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --z-max must be positive")
+        assert captured.out == ""
+    # an infinite bound checks only that every row could be estimated
+    assert main(args + ["--z-max", "inf"]) == 0
+    rare = ["verify", "--model", _model_path(tmp_path, _rare_c2_model()), "--events", "20000",
+            "--seed", "1", "--z-max", "inf"]
+    assert main(rare) == 5
+    assert "no finite z-score for" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_2(capsys, model_file):
+    for command in ("simulate", "verify"):
+        args = [command, "--model", str(model_file), "--events", "2000", "--seed", "-1"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be non-negative, got -1\n"
+        assert captured.out == ""
 
 
 # modules the analytic commands must not load: numpy costs most of a cold

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -18,6 +19,8 @@ from fcfs_match.detailed import (
     AGENT,
     GOOD,
     DetailedTracker,
+    Lost,
+    Queued,
     SequenceItem,
     UnmatchedList,
     detailed_state,
@@ -136,6 +139,8 @@ def test_run_parameter_validation(example3x3):
         run(example3x3, 1_000, seed=1, burn_in=990)  # fewer events than batches
     with pytest.raises(DomainError):
         run(example3x3, 1_000, seed=1, burn_in=0, n_batches=1)
+    with pytest.raises(DomainError, match="seed must be non-negative"):
+        run(example3x3, 1_000, seed=-1, burn_in=0)
 
 
 def test_batch_count_has_no_upper_bound(example3x3, warm_kernel):
@@ -213,20 +218,59 @@ def test_slice_boundaries_preserve_results(example3x3, warm_kernel, monkeypatch)
             assert np.array_equal(short.occupancy[key], counts)
 
 
-def _reference_orders(model, n_events, seed):
-    """Item-level FCFS on run()'s uniform stream: the first-appearance order
-    after every event, and per-event (good index, pair, delay) of matches."""
-    draws = np.random.default_rng(seed).random((2, n_events))
+def _reference_orders(model, n_events, seed, chunk=None):
+    """Item-level FCFS on run()'s uniform stream, drawn as rng.random((2, m))
+    per chunk of m = chunk items (default: one chunk). Returns the
+    first-appearance order after every event, every event (Queued, Matched or
+    Lost), and the number of agents left waiting."""
+    rng = np.random.default_rng(seed)
+    chunk = chunk or n_events
     state = UnmatchedList()
     orders = []
-    matches = []
-    for n in range(n_events):
-        item = item_from_uniforms(model, n, draws[0, n], draws[1, n])
-        _, event = step_fcfs(model, state, item)
-        if hasattr(event, "agent_index"):
-            matches.append((n, event.good_type, event.agent_type, event.delay))
-        orders.append(state.first_appearance_order())
-    return orders, matches
+    events = []
+    for start in range(0, n_events, chunk):
+        draws = rng.random((2, min(chunk, n_events - start)))
+        for k in range(draws.shape[1]):
+            item = item_from_uniforms(model, start + k, draws[0, k], draws[1, k])
+            _, event = step_fcfs(model, state, item)
+            events.append(event)
+            orders.append(state.first_appearance_order())
+    return orders, events, len(state)
+
+
+def _reference_counters(model, orders, events, burn_in, n_batches):
+    """run()'s counters and per-batch occupancy, tallied item by item from
+    _reference_orders; delays are squared as floats in event order."""
+    n = len(events)
+    pairs = (n_batches, model.n_good_types, model.n_agent_types)
+    c = {
+        "match_counts": np.zeros(pairs, dtype=np.int64),
+        "loss_counts": np.zeros(pairs[:2], dtype=np.int64),
+        "delay_sums": np.zeros(pairs, dtype=np.int64),
+        "delay_sqs": np.zeros(pairs, dtype=np.float64),
+        "goods_counts": np.zeros(n_batches, dtype=np.int64),
+        "events_counts": np.zeros(n_batches, dtype=np.int64),
+    }
+    occupancy = defaultdict(lambda: np.zeros(n_batches, dtype=np.int64))
+    for k in range(burn_in, n):
+        b = (k - burn_in) * n_batches // (n - burn_in)
+        event = events[k]
+        c["events_counts"][b] += 1
+        occupancy[orders[k]][b] += 1
+        if isinstance(event, Queued):
+            continue
+        j = model.good_index[event.good_type]
+        c["goods_counts"][b] += 1
+        if isinstance(event, Lost):
+            c["loss_counts"][b, j] += 1
+            continue
+        i = model.agent_index[event.agent_type]
+        c["match_counts"][b, j, i] += 1
+        c["delay_sums"][b, j, i] += event.delay
+        c["delay_sqs"][b, j, i] += float(event.delay) * float(event.delay)
+    c["total_agents"] = sum(isinstance(event, Queued) for event in events)
+    c["total_goods"] = n - c["total_agents"]
+    return c, dict(occupancy)
 
 
 def _random_multi_type_model():
@@ -242,7 +286,7 @@ def _random_multi_type_model():
 def test_occupancy_tally_matches_reference_orders(example3x3, which):
     model = example3x3 if which == "example3x3" else _random_multi_type_model()
     n, seed, n_batches = 20_000, 23, 50
-    orders, matches = _reference_orders(model, n, seed)
+    orders, events, _ = _reference_orders(model, n, seed)
     # a matched head whose queue still holds agents can move behind other types
     reorders = sum(
         len(a) == len(b) and a != b for a, b in zip(orders, orders[1:])
@@ -255,21 +299,63 @@ def test_occupancy_tally_matches_reference_orders(example3x3, which):
         seen = {key: int(arr[b]) for key, arr in tail.occupancy.items() if arr[b]}
         assert seen == {orders[n - 63 + b]: 1}
 
-    # every event of a run from the empty state, tallied per batch
+    # every event of a run from the empty state, tallied per batch, and the
+    # squared delays, summed in event order per batch and pair
     stats = run(model, n, seed=seed, burn_in=0, n_batches=n_batches)
-    occupancy = defaultdict(lambda: np.zeros(n_batches, dtype=np.int64))
-    for k, order in enumerate(orders):
-        occupancy[order][k * n_batches // n] += 1
+    counters, occupancy = _reference_counters(model, orders, events, 0, n_batches)
+    assert stats.occupancy.keys() == occupancy.keys()
+    for key, counts in occupancy.items():
+        assert np.array_equal(stats.occupancy[key], counts)
+    assert np.array_equal(stats.delay_sqs, counters["delay_sqs"])
+
+
+@pytest.mark.parametrize("which", ["example3x3", "random"])
+def test_stream_crosses_chunk_ends(example3x3, which, monkeypatch):
+    # chunks of 1000 items put five chunk ends in the run, one inside the
+    # burn-in: at each, both generators must skip the other's row
+    model = example3x3 if which == "example3x3" else _random_multi_type_model()
+    n, burn_in, n_batches, seed = 5_500, 1_500, 50, 31
+    orders, events, waiting = _reference_orders(model, n, seed, chunk=1_000)
+    counters, occupancy = _reference_counters(model, orders, events, burn_in, n_batches)
+    monkeypatch.setattr(_kernel, "CHUNK", 1_000)
+    monkeypatch.setattr(_kernel, "SLICE", 97)
+    stats = run(model, n, seed=seed, burn_in=burn_in, n_batches=n_batches)
+    for field, expected in counters.items():
+        assert np.array_equal(getattr(stats, field), expected), field
+    assert stats.final_unmatched == waiting
+    assert list(stats.occupancy) == list(dict.fromkeys(orders[burn_in:]))
     assert stats.occupancy.keys() == occupancy.keys()
     for key, counts in occupancy.items():
         assert np.array_equal(stats.occupancy[key], counts)
 
-    # squared delays, summed in event order per batch and pair
-    delay_sqs = np.zeros_like(stats.delay_sqs)
-    for g_index, good, agent, delay in matches:
-        j, i = model.good_index[good], model.agent_index[agent]
-        delay_sqs[g_index * n_batches // n, j, i] += float(delay) * float(delay)
-    assert np.array_equal(stats.delay_sqs, delay_sqs)
+
+# tracemalloc peak of run(example3x3, 1e5 events): a whole (2, 1e5) chunk of
+# uniforms and a dense occupancy table made it 1.83 MB; slices of uniforms and
+# sparse occupancy entries keep it at 0.29 MB
+RUN_PEAK_BOUND = 800_000
+
+
+def test_run_memory_is_slices_and_entries(example3x3, warm_kernel):
+    tracemalloc.start()
+    try:
+        stats = run(example3x3, 100_000, seed=1, burn_in=10_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats.events_post_burn_in == 90_000
+    assert peak < RUN_PEAK_BOUND
+
+
+@pytest.mark.parametrize("n_batches", [2, 63])
+def test_occupancy_entries_are_the_nonzero_cells(example3x3, warm_kernel, n_batches):
+    for model in (example3x3, _random_multi_type_model()):
+        stats = run(model, 20_000, seed=5, burn_in=1_000, n_batches=n_batches)
+        dense = np.array(list(stats.occupancy.values()))
+        for field in ("entry_rows", "entry_batches", "entry_counts"):
+            assert getattr(stats, field).dtype == np.int64
+        cells = sorted(zip(stats.entry_rows.tolist(), stats.entry_batches.tolist()))
+        assert cells == sorted(zip(*(a.tolist() for a in np.nonzero(dense))))
+        assert np.array_equal(dense[stats.entry_rows, stats.entry_batches], stats.entry_counts)
 
 
 def test_pi_y_rejects_unknown_and_repeated_types(warm_kernel):
