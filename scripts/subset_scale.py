@@ -1,6 +1,7 @@
 """Time the passes over the 2^I agent sets at growing I, each in a fresh process.
 
     python3 scripts/subset_scale.py --src src --types 9,14,17,20 --repeats 3
+    python3 scripts/subset_scale.py --src src --types 14,17,20 --probes table,rates,delays
 
 --src is the source directory of the tree to measure, so two checkouts can be
 compared with the same script. For each I the script writes one random model
@@ -16,6 +17,7 @@ that loads the model and makes one cold call:
     table           analytic._subset_table
     min_stage_rate  delays.min_stage_rate
     rates           analytic.matching_rates
+    delays          delays.delay_moments (the delay and the wait moments)
 
 A probe reports its wall time (time.perf_counter around the call, import and
 model load excluded) and the process's peak RSS (ru_maxrss, interpreter and
@@ -37,7 +39,7 @@ import tempfile
 import time
 from pathlib import Path
 
-PROBES = ("scan", "checks", "table", "min_stage_rate", "rates")
+PROBES = ("scan", "checks", "table", "min_stage_rate", "rates", "delays")
 EDGE_DENSITY = 0.4
 DIRICHLET_SHAPE = 2.0
 RHO_FRACTION = 0.8
@@ -93,6 +95,7 @@ def probe(src: str, name: str, model_path: str) -> dict:
         "table": [analytic._subset_table],
         "min_stage_rate": [delays.min_stage_rate],
         "rates": [analytic.matching_rates],
+        "delays": [delays.delay_moments],
     }[name]
     start = time.perf_counter()
     for call in calls:

@@ -6,11 +6,13 @@ set), where theta(S) = mu_{S(S)} - lambda_S depends only on the set. Each sum
 therefore factors into a forward prefix weight W(S) and a backward completion
 weight F(T) over the 2^I agent sets, the set recursion of order-independent
 queues. One cached table per model holds theta, W, F and the per-pair rate and
-delay/wait moment sums, built in O(J * I * 2^I) steps. Its theta is the list
-of the model's subset scan (MatchingModel.subset_scan), the same pass that
-answers the stability, pooling and rho* checks; the scan refuses a model
-whose 2^I-set lists would not fit in memory. No other limit applies to the
-table.
+delay moment sums, built in O(J * I * 2^I) steps. It holds no wait sums: with
+Lambda = lambda_bar + mu_bar, a Poisson wait is the sum of its delay's count
+of Exp(Lambda) gaps, so delays.py derives every wait value from the delay law
+through Lambda. The table's theta is the list of the model's subset scan
+(MatchingModel.subset_scan), the same pass that answers the stability,
+pooling and rho* checks; the scan refuses a model whose 2^I-set lists would
+not fit in memory. No other limit applies to the table.
 
 enumerate_terms, the depth-first walk over all e * I! ordered subsets, stays
 as public API and as the independent oracle the table is tested against. It
@@ -51,13 +53,11 @@ class PermutationTerm(NamedTuple):
     weight: float
 
 
-def _check_cap(model: MatchingModel, cap: int | None) -> None:
+def _check_cap(model: MatchingModel) -> None:
     validate(model)
-    limit = DEFAULT_TYPE_CAP if cap is None else cap
-    if model.n_agent_types > limit:
+    if model.n_agent_types > DEFAULT_TYPE_CAP:
         raise TooManyTypes(
-            f"{model.n_agent_types} agent types exceeds the enumeration cap {limit}; "
-            "pass a larger cap explicitly to override"
+            f"{model.n_agent_types} agent types exceeds the enumeration cap {DEFAULT_TYPE_CAP}"
         )
 
 
@@ -78,19 +78,14 @@ def _drain_rates(model: MatchingModel) -> tuple[list[float], float]:
     return scan.theta, low
 
 
-def enumerate_terms(
-    model: MatchingModel,
-    visit: Callable[[PermutationTerm], None],
-    *,
-    cap: int | None = None,
-) -> int:
+def enumerate_terms(model: MatchingModel, visit: Callable[[PermutationTerm], None]) -> int:
     """Visit every nonempty ordered subset of agent types once; return the count.
 
     Visitation is depth-first, extending prefixes in declared type order, so
-    two runs see identical term sequences. Models with more than cap agent
-    types (default DEFAULT_TYPE_CAP) are refused with TooManyTypes.
+    two runs see identical term sequences. Models with more than
+    DEFAULT_TYPE_CAP agent types are refused with TooManyTypes.
     """
-    _check_cap(model, cap)
+    _check_cap(model)
     _drain_rates(model)
     n = model.n_agent_types
     names = model.agent_names
@@ -143,6 +138,10 @@ class _SubsetTable:
     extend T to a longer order (none included), the product of the added
     prefixes' lambda_k / theta; so the orders extending an order P of the set T
     weigh weight(P) * F0(T) in total, and B = 1 / F0(empty set).
+
+    The moment sums count delays in sequence positions. The table keeps no
+    wait sums: delays.delay_moments derives the wait values from the delay
+    values through Lambda = lambda_bar + mu_bar.
     """
 
     b: float
@@ -154,10 +153,6 @@ class _SubsetTable:
     de: list[float]
     de2: list[float]
     dv: list[float]
-    # wait-moment sums (time units)
-    we: list[float]
-    we2: list[float]
-    wv: list[float]
 
 
 def _subset_table(model: MatchingModel) -> _SubsetTable:
@@ -184,12 +179,12 @@ def _subset_table(model: MatchingModel) -> _SubsetTable:
     # F1(T) = a(T) F0(T) + sum_k c_k F1(T+k),
     # F2(T) = a(T)^2 F0(T) + 2 a(T) sum_k c_k F1(T+k) + sum_k c_k F2(T+k).
     # Delay stages take a = 1/p with p = theta / total_rate and variance
-    # (1 - p) / p^2; wait stages take a = 1/theta and variance 1/theta^2.
+    # (1 - p) / p^2.
     f0 = [1.0] * size
-    d1, d2, dvar, w1, w2, wvar = ([0.0] * size for _ in range(6))
+    d1, d2, dvar = ([0.0] * size for _ in range(3))
     for t in range(size - 1, -1, -1):
         s0 = 1.0
-        sd1 = sd2 = sdv = sw1 = sw2 = swv = 0.0
+        sd1 = sd2 = sdv = 0.0
         for bit, lam_k in bits:
             if t & bit:
                 continue
@@ -199,27 +194,19 @@ def _subset_table(model: MatchingModel) -> _SubsetTable:
             sd1 += c * d1[u]
             sd2 += c * d2[u]
             sdv += c * dvar[u]
-            sw1 += c * w1[u]
-            sw2 += c * w2[u]
-            swv += c * wvar[u]
         f0[t] = s0
         if not t:
             break  # the empty set is no stage
-        th = theta[t]
-        p = th / total_rate
+        p = theta[t] / total_rate
         a = 1.0 / p
         d1[t] = a * s0 + sd1
         d2[t] = a * a * s0 + 2.0 * a * sd1 + sd2
         dvar[t] = (1.0 - p) / (p * p) * s0 + sdv
-        a = 1.0 / th
-        w1[t] = a * s0 + sw1
-        w2[t] = a * a * s0 + 2.0 * a * sw1 + sw2
-        wvar[t] = a * a * s0 + swv
 
     nj = model.n_good_types
-    flat = [[0.0] * (nj * n) for _ in range(7)]
+    flat = [[0.0] * (nj * n) for _ in range(4)]
     for j in range(nj):
-        sums = _first_match_sums(model, w, theta, j, (f0, d1, d2, dvar, w1, w2, wvar))
+        sums = _first_match_sums(model, w, theta, j, (f0, d1, d2, dvar))
         for out, part in zip(flat, sums):
             out[j * n:(j + 1) * n] = part
     return _SubsetTable(1.0 / f0[0], theta, w, f0, *flat)

@@ -2,11 +2,17 @@
 
 Conditional on the waiting-type order, the distance between a matched agent
 and its good is a sum of independent geometric stage variables, one per type
-appearing at or after the match position; under Poisson arrivals each stage
-becomes exponential. Moments therefore come out of the same subset table as
-the matching rates, as additive completions over the 2^I agent sets, and each
-generating-function point is one multiplicative completion over those sets:
-O(J * I * 2^I) steps either way.
+appearing at or after the match position. Delay moments therefore come out of
+the same subset table as the matching rates, as additive completions over the
+2^I agent sets, and each generating-function point is one multiplicative
+completion over those sets: O(J * I * 2^I) steps either way.
+
+Under Poisson arrivals the items arrive in Exp(Lambda) gaps, Lambda =
+lambda_bar + mu_bar, independent of the sequence, so a wait is the sum of its
+delay's D gaps and every wait value follows from the delay law:
+E[W] = E[D] / Lambda, Var W = (Var D + E[D]) / Lambda^2 and
+E[exp(sW)] = E[z^D] at z = Lambda / (Lambda - s). A stage's Geom(theta /
+Lambda) count of gaps is then Exp(theta), the stage factor theta / (theta - s).
 """
 
 from __future__ import annotations
@@ -59,8 +65,10 @@ class DelayReport:
     """Per-pair and per-agent-type delay moments, plus the Poisson-wait analogues.
 
     Pair keys are compatibility edges (good, agent). Delay entries count
-    sequence positions; wait entries are in time units. A pair whose matching
-    rate is zero is simply absent.
+    sequence positions; wait entries are in time units, derived from the delay
+    entries through Lambda = lambda_bar + mu_bar: mean / Lambda and
+    (variance + mean) / Lambda^2. A pair whose matching rate is zero is simply
+    absent.
     """
 
     pair_mean: dict[tuple[str, str], float]
@@ -112,8 +120,8 @@ class DelayReport:
 def delay_moments(model: MatchingModel) -> DelayReport:
     """Means and variances of per-pair and per-agent delays.
 
-    The wait fields of the returned report are filled as well: both sets of
-    moments come from the same subset table.
+    The wait fields of the returned report are filled as well, from the delay
+    moments: a wait is the sum of its delay's count of Exp(Lambda) gaps.
     """
     result = _table(model)
     report = matching_rates(model)
@@ -122,8 +130,6 @@ def delay_moments(model: MatchingModel) -> DelayReport:
 
     pair_mean: dict[tuple[str, str], float] = {}
     pair_var: dict[tuple[str, str], float] = {}
-    wait_pair_mean: dict[tuple[str, str], float] = {}
-    wait_pair_var: dict[tuple[str, str], float] = {}
     for (g, a), r in report.rates.items():
         if r <= 0.0:
             continue  # structurally possible only with zero-rate edges; reported absent
@@ -136,16 +142,9 @@ def delay_moments(model: MatchingModel) -> DelayReport:
         v = scale * result.dv[flat]
         pair_mean[(g, a)] = e
         pair_var[(g, a)] = v + e2 - e * e
-        we = scale * result.we[flat]
-        we2 = scale * result.we2[flat]
-        wv = scale * result.wv[flat]
-        wait_pair_mean[(g, a)] = we
-        wait_pair_var[(g, a)] = wv + we2 - we * we
 
     agent_mean: dict[str, float] = {}
     agent_var: dict[str, float] = {}
-    wait_agent_mean: dict[str, float] = {}
-    wait_agent_var: dict[str, float] = {}
     for a in model.agent_names:
         weights = report.theta.get(a, {})
         pairs = [(g, w) for g, w in weights.items() if (g, a) in pair_mean]
@@ -155,20 +154,18 @@ def delay_moments(model: MatchingModel) -> DelayReport:
         second = sum(w * (pair_var[(g, a)] + pair_mean[(g, a)] ** 2) for g, w in pairs)
         agent_mean[a] = m
         agent_var[a] = second - m * m
-        wm = sum(w * wait_pair_mean[(g, a)] for g, w in pairs)
-        wsecond = sum(w * (wait_pair_var[(g, a)] + wait_pair_mean[(g, a)] ** 2) for g, w in pairs)
-        wait_agent_mean[a] = wm
-        wait_agent_var[a] = wsecond - wm * wm
 
+    rate = model.total_rate
+    rate2 = rate * rate
     return DelayReport(
         pair_mean=pair_mean,
         pair_var=pair_var,
         agent_mean=agent_mean,
         agent_var=agent_var,
-        wait_pair_mean=wait_pair_mean,
-        wait_pair_var=wait_pair_var,
-        wait_agent_mean=wait_agent_mean,
-        wait_agent_var=wait_agent_var,
+        wait_pair_mean={k: e / rate for k, e in pair_mean.items()},
+        wait_pair_var={k: (v + pair_mean[k]) / rate2 for k, v in pair_var.items()},
+        wait_agent_mean={a: e / rate for a, e in agent_mean.items()},
+        wait_agent_var={a: (v + agent_mean[a]) / rate2 for a, v in agent_var.items()},
     )
 
 
@@ -177,9 +174,10 @@ def delay_moments(model: MatchingModel) -> DelayReport:
 wait_moments = delay_moments
 
 
-def _pair_transform(model: MatchingModel, pair, stage_factor) -> float:
-    """Mean over the pair's matches of the product of stage_factor(theta) over
-    the stages from the match position onward."""
+def _pair_transform(model: MatchingModel, pair, z: float) -> float:
+    """E[z^D] of the pair delay D: the mean over the pair's matches of the
+    product of the stage PGFs z p / (1 - z (1 - p)), p = theta / (lambda_bar +
+    mu_bar), over the stages from the match position onward."""
     g, a = pair
     if g not in model.good_index or a not in model.agent_index:
         raise UnknownIdentifier(f"unknown pair ({g!r}, {a!r})")
@@ -190,20 +188,20 @@ def _pair_transform(model: MatchingModel, pair, stage_factor) -> float:
     raw = table.rate_raw[j * model.n_agent_types + i]
     if raw <= 0.0:
         raise ZeroRate(f"pair ({g!r}, {a!r}) has zero matching rate")
-    return _mixture(model, table, j, i, stage_factor) / raw
-
-
-def delay_pgf(model: MatchingModel, pair, z: float) -> float:
-    """Probability generating function of the pair delay, for z in [0, 1]."""
-    if not 0.0 <= z <= 1.0:
-        raise DomainError(f"z = {z!r} outside [0, 1]")
     total_rate = model.total_rate
 
     def factor(theta: float) -> float:
         p = theta / total_rate
         return z * p / (1.0 - z * (1.0 - p))
 
-    return _pair_transform(model, pair, factor)
+    return _mixture(model, table, j, i, factor) / raw
+
+
+def delay_pgf(model: MatchingModel, pair, z: float) -> float:
+    """Probability generating function of the pair delay, for z in [0, 1]."""
+    if not 0.0 <= z <= 1.0:
+        raise DomainError(f"z = {z!r} outside [0, 1]")
+    return _pair_transform(model, pair, z)
 
 
 def min_stage_rate(model: MatchingModel) -> float:
@@ -213,12 +211,10 @@ def min_stage_rate(model: MatchingModel) -> float:
 
 def wait_mgf(model: MatchingModel, pair, s: float) -> float:
     """Moment generating function of the pair waiting time, for s below the
-    smallest stage rate over nonempty agent subsets."""
+    smallest stage rate over nonempty agent subsets: the delay PGF at
+    z = Lambda / (Lambda - s), whose stage factor is theta / (theta - s)."""
     limit = min_stage_rate(model)
     if not s < limit:
         raise DomainError(f"s = {s!r} must lie strictly below the smallest stage rate {limit!r}")
-
-    def factor(theta: float) -> float:
-        return theta / (theta - s)
-
-    return _pair_transform(model, pair, factor)
+    total_rate = model.total_rate
+    return _pair_transform(model, pair, total_rate / (total_rate - s))

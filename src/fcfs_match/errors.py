@@ -59,7 +59,8 @@ class TooManyTypes(FcfsMatchError):
 
     Raised when the lists over the 2^I agent sets would take more than half the
     physical memory, and when an e * I! walk over ordered subsets
-    (enumerate_terms, simulator.analytic_pi_y) exceeds its type cap.
+    (enumerate_terms, simulator.analytic_pi_y) would run on more than
+    analytic.DEFAULT_TYPE_CAP agent types, a fixed limit.
     """
 
 

@@ -31,9 +31,9 @@ from .errors import (
 FREQ_TOL = 1e-12
 
 # The subset table in analytic.py, the largest user of the per-set sums, keeps
-# 9 lists of 2^I floats (theta, W, F0 and six moment completions) while it is
+# 6 lists of 2^I floats (theta, W, F0 and three delay completions) while it is
 # built; a float in a list costs about 32 bytes.
-TABLE_ARRAYS = 9
+TABLE_ARRAYS = 6
 BYTES_PER_FLOAT = 32
 
 

@@ -375,13 +375,13 @@ def _z(analytic: float, est: Estimate) -> float:
     return (est.value - analytic) / est.stderr
 
 
-def analytic_pi_y(model: MatchingModel, *, cap: int | None = None) -> dict[tuple[str, ...], float]:
+def analytic_pi_y(model: MatchingModel) -> dict[tuple[str, ...], float]:
     """Stationary probability of every first-appearance order, plus the empty one.
 
-    The result lists all e * I! orders, so models with more than cap agent
-    types (default DEFAULT_TYPE_CAP) are refused with TooManyTypes.
+    The result lists all e * I! orders, so models with more than
+    DEFAULT_TYPE_CAP agent types are refused with TooManyTypes.
     """
-    _check_cap(model, cap)
+    _check_cap(model)
     return {(): normalizing_constant(model), **_orders_above(model, 0.0)}
 
 

@@ -41,8 +41,8 @@ EXPECTED_RATES_3X3 = {
 EXPECTED_LOSS_3X3 = {"s1": 0.071, "s2": 0.113, "s3": 0.116}
 
 
-def _count_terms(model, **kwargs) -> int:
-    return enumerate_terms(model, lambda term: None, **kwargs)
+def _count_terms(model) -> int:
+    return enumerate_terms(model, lambda term: None)
 
 
 def test_term_counts(single_pair, example3x3):
@@ -83,13 +83,14 @@ def test_too_many_types_cap():
     assert report.b == pytest.approx(1.0 - rho, rel=1e-12)
     for i in range(13):
         assert report.rates[("s", f"c{i}")] == pytest.approx(rho / 13, rel=1e-12)
-    assert delay_moments(model).pair_mean[("s", "c0")] == pytest.approx(
-        (lam + mu) / (mu - lam), rel=1e-12)
-    # the cap is an override, not a hard limit: lowering it bites a small model too
-    small = make_example3x3()
-    with pytest.raises(TooManyTypes):
-        _count_terms(small, cap=2)
-    assert _count_terms(small, cap=3) == 15
+    moments = delay_moments(model)
+    assert moments.pair_mean[("s", "c0")] == pytest.approx((lam + mu) / (mu - lam), rel=1e-12)
+    # and every wait is Exp(mu_bar - lambda_bar), the M/M/1 sojourn time, for
+    # a pair and for an agent type alike
+    for mean, var, key in ((moments.wait_pair_mean, moments.wait_pair_var, ("s", "c0")),
+                           (moments.wait_agent_mean, moments.wait_agent_var, "c12")):
+        assert mean[key] == pytest.approx(1.0 / (mu - lam), rel=1e-12)
+        assert var[key] == pytest.approx(1.0 / (mu - lam) ** 2, rel=1e-12)
 
 
 def test_subset_table_memory_bound():
@@ -197,7 +198,7 @@ def test_rate_pass_deterministic(example3x3):
     assert first.b == second.b
     assert first.rate_raw == second.rate_raw
     assert first.de == second.de and first.dv == second.dv
-    assert first.we2 == second.we2
+    assert first.de2 == second.de2
 
 
 def test_subset_table_matches_walk_oracle():
@@ -207,8 +208,16 @@ def test_subset_table_matches_walk_oracle():
         table = _subset_table(model)
         b, sums, orders = walk_sums(model)
         assert table.b == pytest.approx(b, rel=1e-12)
+        # the table keeps no wait sums; they follow from the delay sums
+        total = model.total_rate
+        derived = {
+            "we": [e / total for e in table.de],
+            "we2": [e2 / total ** 2 for e2 in table.de2],
+            "wv": [(v + e) / total ** 2 for v, e in zip(table.dv, table.de)],
+        }
         for key, expected in sums.items():
-            assert getattr(table, key) == pytest.approx(expected, rel=1e-12, abs=0.0), key
+            got = derived[key] if key in derived else getattr(table, key)
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0), key
 
         n = model.n_agent_types
         limit = min_stage_rate(model)
