@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, DuplicateType, TooManyTypes, UnknownIdentifier, UnstableModel
-from .model import MatchingModel, validate
+from .model import MatchingModel
 
 # Agent types above which an e * I! walk (enumerate_terms, and
 # simulator.analytic_pi_y, which lists every order) is refused: 13 types
@@ -54,7 +54,6 @@ class PermutationTerm(NamedTuple):
 
 
 def _check_cap(model: MatchingModel) -> None:
-    validate(model)
     if model.n_agent_types > DEFAULT_TYPE_CAP:
         raise TooManyTypes(
             f"{model.n_agent_types} agent types exceeds the enumeration cap {DEFAULT_TYPE_CAP}"
@@ -149,10 +148,10 @@ class _SubsetTable:
     w: list[float]
     f0: list[float]
     rate_raw: list[float]  # flat (good j * I + agent i) first-compatible credit sums
-    # delay-moment sums (position counts), same flat indexing
+    # delay-moment sums (position counts), same flat indexing: weight * E[D]
+    # and weight * E[D^2] given the order
     de: list[float]
     de2: list[float]
-    dv: list[float]
 
 
 def _subset_table(model: MatchingModel) -> _SubsetTable:
@@ -174,17 +173,18 @@ def _subset_table(model: MatchingModel) -> _SubsetTable:
         w[s] = acc / theta[s]
 
     # Completions: F0(T) = 1 + sum_k c_k F0(T+k) with c_k = lambda_k / theta(T+k).
-    # A continuation of T collects an additive stage value a(T') at every set
-    # T' from T on; F1 sums weight * (total a) and F2 weight * (total a)^2:
-    # F1(T) = a(T) F0(T) + sum_k c_k F1(T+k),
-    # F2(T) = a(T)^2 F0(T) + 2 a(T) sum_k c_k F1(T+k) + sum_k c_k F2(T+k).
-    # Delay stages take a = 1/p with p = theta / total_rate and variance
-    # (1 - p) / p^2.
+    # A continuation of T passes one independent delay stage G(T') at every set
+    # T' from T on, and D is their sum; F1 sums weight * E[D] and F2 weight *
+    # E[D^2], given the order:
+    # F1(T) = E[G(T)] F0(T) + sum_k c_k F1(T+k),
+    # F2(T) = E[G(T)^2] F0(T) + 2 E[G(T)] sum_k c_k F1(T+k) + sum_k c_k F2(T+k).
+    # A stage is Geom(p) with p = theta / total_rate: E[G] = a = 1/p and
+    # E[G^2] = (2 - p) a^2.
     f0 = [1.0] * size
-    d1, d2, dvar = ([0.0] * size for _ in range(3))
+    d1, d2 = [0.0] * size, [0.0] * size
     for t in range(size - 1, -1, -1):
         s0 = 1.0
-        sd1 = sd2 = sdv = 0.0
+        sd1 = sd2 = 0.0
         for bit, lam_k in bits:
             if t & bit:
                 continue
@@ -193,20 +193,18 @@ def _subset_table(model: MatchingModel) -> _SubsetTable:
             s0 += c * f0[u]
             sd1 += c * d1[u]
             sd2 += c * d2[u]
-            sdv += c * dvar[u]
         f0[t] = s0
         if not t:
             break  # the empty set is no stage
         p = theta[t] / total_rate
         a = 1.0 / p
         d1[t] = a * s0 + sd1
-        d2[t] = a * a * s0 + 2.0 * a * sd1 + sd2
-        dvar[t] = (1.0 - p) / (p * p) * s0 + sdv
+        d2[t] = (2.0 - p) * a * a * s0 + 2.0 * a * sd1 + sd2
 
     nj = model.n_good_types
-    flat = [[0.0] * (nj * n) for _ in range(4)]
+    flat = [[0.0] * (nj * n) for _ in range(3)]
     for j in range(nj):
-        sums = _first_match_sums(model, w, theta, j, (f0, d1, d2, dvar))
+        sums = _first_match_sums(model, w, theta, j, (f0, d1, d2))
         for out, part in zip(flat, sums):
             out[j * n:(j + 1) * n] = part
     return _SubsetTable(1.0 / f0[0], theta, w, f0, *flat)
@@ -245,11 +243,6 @@ def _cached_pass(model: MatchingModel) -> _SubsetTable:
     return _subset_table(model)
 
 
-def _table(model: MatchingModel) -> _SubsetTable:
-    validate(model)
-    return _cached_pass(model)
-
-
 def _mixture(model: MatchingModel, table: _SubsetTable, j: int, i: int, stage_factor) -> float:
     """Sum over the orders in which agent i is the first type compatible with
     good j, of weight times the product of stage_factor(theta) over the
@@ -277,7 +270,7 @@ def _orders_above(model: MatchingModel, threshold: float) -> dict[tuple[str, ...
     B * weight(P) * F0(set of P), so once that is at most threshold the walk
     skips P and all its extensions: the result is exact, not truncated.
     """
-    table = _table(model)
+    table = _cached_pass(model)
     b, theta, f0 = table.b, table.theta, table.f0
     names = model.agent_names
     steps = [(names[k], 1 << k, lam_k) for k, lam_k in enumerate(model.agent_rates)]
@@ -302,7 +295,7 @@ def _orders_above(model: MatchingModel, threshold: float) -> dict[tuple[str, ...
 
 def normalizing_constant(model: MatchingModel) -> float:
     """Probability of a perfect match (no agent waiting): 1 / (1 + sum of weights)."""
-    return _table(model).b
+    return _cached_pass(model).b
 
 
 def pi_y_perm(model: MatchingModel, order) -> float:
@@ -316,7 +309,7 @@ def pi_y_perm(model: MatchingModel, order) -> float:
     for nm in names:
         if nm not in model.agent_index:
             raise UnknownIdentifier(f"unknown agent type {nm!r}")
-    table = _table(model)
+    table = _cached_pass(model)
     mask = 0
     weight = 1.0
     for nm in names:
@@ -378,7 +371,7 @@ def matching_rates(model: MatchingModel) -> RateReport:
     frequency turns the sums into rates, and the lost fraction is the good's
     frequency share minus its matched rates.
     """
-    result = _table(model)
+    result = _cached_pass(model)
     n = model.n_agent_types
     mu = model.good_rates
     mu_bar = model.mu_bar

@@ -212,11 +212,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_rng=False):
+    def common(p, needs_rng=False, formats=False):
         p.add_argument("--model", required=True, help="model JSON file")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--table", action="store_true", help="print a readable table instead")
+        if formats:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+            p.add_argument("--table", action="store_true", help="print a readable table instead")
         if needs_rng:
             p.add_argument("--events", type=int, default=1_000_000)
             p.add_argument("--seed", type=int, default=1)
@@ -228,15 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("rates", help="matching and loss rates")
-    common(p)
+    common(p, formats=True)
     p.set_defaults(func=cmd_rates)
 
     p = sub.add_parser("delays", help="delay means and variances")
-    common(p)
+    common(p, formats=True)
     p.set_defaults(func=cmd_delays)
 
     p = sub.add_parser("waits", help="waiting-time means and variances (Poisson arrivals)")
-    common(p)
+    common(p, formats=True)
     p.set_defaults(func=cmd_waits)
 
     p = sub.add_parser("sweep", help="rates and delays over a traffic-intensity grid")

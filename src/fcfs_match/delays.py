@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analytic import _drain_rates, _mixture, _table, matching_rates
+from .analytic import _cached_pass, _drain_rates, _mixture, matching_rates
 from .errors import DomainError, DuplicateType, UnknownIdentifier, UnstableModel, ZeroRate
 from .model import MatchingModel
 
@@ -123,7 +123,7 @@ def delay_moments(model: MatchingModel) -> DelayReport:
     The wait fields of the returned report are filled as well, from the delay
     moments: a wait is the sum of its delay's count of Exp(Lambda) gaps.
     """
-    result = _table(model)
+    result = _cached_pass(model)
     report = matching_rates(model)
     n = model.n_agent_types
     mu_bar = model.mu_bar
@@ -138,10 +138,8 @@ def delay_moments(model: MatchingModel) -> DelayReport:
         flat = j * n + i
         scale = result.b * (model.good_rates[j] / mu_bar) / r
         e = scale * result.de[flat]
-        e2 = scale * result.de2[flat]
-        v = scale * result.dv[flat]
         pair_mean[(g, a)] = e
-        pair_var[(g, a)] = v + e2 - e * e
+        pair_var[(g, a)] = scale * result.de2[flat] - e * e
 
     agent_mean: dict[str, float] = {}
     agent_var: dict[str, float] = {}
@@ -183,7 +181,7 @@ def _pair_transform(model: MatchingModel, pair, z: float) -> float:
         raise UnknownIdentifier(f"unknown pair ({g!r}, {a!r})")
     if not model.is_edge(g, a):
         raise ZeroRate(f"({g!r}, {a!r}) is not a compatibility edge; its rate is zero")
-    table = _table(model)
+    table = _cached_pass(model)
     j, i = model.good_index[g], model.agent_index[a]
     raw = table.rate_raw[j * model.n_agent_types + i]
     if raw <= 0.0:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .analytic import matching_rates
 from .delays import delay_moments
 from .errors import DomainError, DuplicateType, UnknownIdentifier, UnstableGridPoint
-from .model import MatchingModel, max_stable_rho, validate
+from .model import MatchingModel, max_stable_rho
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,6 @@ class LightTrafficLimit:
 
 
 def light_traffic_rates(model: MatchingModel) -> LightTrafficLimit:
-    validate(model)
     rates: dict[tuple[str, str], float] = {}
     theta: dict[tuple[str, str], float] = {}
     for i, (a, alpha_i) in enumerate(model.agent_types):
@@ -69,7 +68,6 @@ class SweepSeries:
 
 def sweep(model: MatchingModel, rho_grid) -> SweepSeries:
     """Compute rates and delay moments on a grid of traffic intensities."""
-    validate(model)
     grid = tuple(float(r) for r in rho_grid)
     if not grid:
         raise DomainError("rho grid must be nonempty")
@@ -112,7 +110,6 @@ def dedicated_baseline(model: MatchingModel, pairing) -> dict[tuple[str, str], D
     compatibility edges. Pairs with lambda_agent >= mu_good are reported
     unstable rather than raising.
     """
-    validate(model)
     pairs = dict(pairing)
     if len(set(pairs.values())) != len(pairs):
         raise DuplicateType("pairing must map distinct goods to distinct agents")

@@ -4,7 +4,10 @@ The model describes a single stream of items. Each item is an agent with
 probability lambda_bar/(lambda_bar+mu_bar) or a good otherwise; agent types are
 drawn with frequencies alpha, good types with frequencies beta. Goods match the
 earliest waiting compatible agent or are lost. Everything else in the package
-derives from this object, so it is immutable and fully validated up front.
+derives from this object, so it is immutable and valid by construction: the
+constructor runs validate on its normalised fields, so direct construction,
+from_json_dict, load_model and with_lambda_bar all pass that one check, and no
+other function repeats it.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from .errors import (
 FREQ_TOL = 1e-12
 
 # The subset table in analytic.py, the largest user of the per-set sums, keeps
-# 6 lists of 2^I floats (theta, W, F0 and three delay completions) while it is
+# 5 lists of 2^I floats (theta, W, F0 and two delay completions) while it is
 # built; a float in a list costs about 32 bytes.
-TABLE_ARRAYS = 6
+TABLE_ARRAYS = 5
 BYTES_PER_FLOAT = 32
 
 
@@ -101,8 +104,9 @@ class MatchingModel:
         object.__setattr__(self, "agent_types", tuple((str(n), float(a)) for n, a in self.agent_types))
         object.__setattr__(self, "good_types", tuple((str(n), float(b)) for n, b in self.good_types))
         object.__setattr__(self, "edges", frozenset((str(g), str(a)) for g, a in self.edges))
+        validate(self)
 
-    # --- cached derived views (assume a validated model) ---
+    # --- cached derived views (every name in edges is a declared type) ---
 
     @functools.cached_property
     def agent_names(self) -> tuple[str, ...]:
@@ -156,7 +160,7 @@ class MatchingModel:
 
     @functools.cached_property
     def subset_scan(self) -> SubsetScan:
-        """The one pass over the 2^I agent sets (assumes a validated model)."""
+        """The one pass over the 2^I agent sets; every agent type has a good."""
         return _scan_subsets(self)
 
     @property
@@ -241,13 +245,13 @@ class MatchingModel:
 
 
 def load_model(path) -> MatchingModel:
-    """Read a model JSON file and validate it."""
+    """Read a model JSON file; the model validates itself when it is built."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ModelValidationError([UnknownIdentifier(f"invalid JSON: {exc}")]) from exc
-    return validate(MatchingModel.from_json_dict(data))
+    return MatchingModel.from_json_dict(data)
 
 
 def save_model(model: MatchingModel, path) -> None:
@@ -260,7 +264,9 @@ def save_model(model: MatchingModel, path) -> None:
 
 
 def validate(model: MatchingModel) -> MatchingModel:
-    """Check every model invariant; return the model or raise with all violations."""
+    """Check every model invariant; return the model or raise with all violations.
+
+    MatchingModel's constructor calls this, so every built model passes it."""
     issues: list = []
     seen: set[str] = set()
     for name, _ in itertools.chain(model.agent_types, model.good_types):
@@ -280,10 +286,9 @@ def validate(model: MatchingModel) -> MatchingModel:
     for name, b in model.good_types:
         if not b > 0.0:
             issues.append(NonPositiveFrequency(f"good type {name!r} has frequency {b!r}"))
-    if not model.lambda_bar > 0.0:
-        issues.append(NonPositiveRate(f"lambda_bar = {model.lambda_bar!r} must be positive"))
-    if not model.mu_bar > 0.0:
-        issues.append(NonPositiveRate(f"mu_bar = {model.mu_bar!r} must be positive"))
+    for name, rate in (("lambda_bar", model.lambda_bar), ("mu_bar", model.mu_bar)):
+        if not 0.0 < rate < math.inf:  # NaN fails too
+            issues.append(NonPositiveRate(f"{name} = {rate!r} must be positive and finite"))
 
     agent_set = {n for n, _ in model.agent_types}
     good_set = {n for n, _ in model.good_types}

@@ -22,7 +22,7 @@ from . import _kernel
 from .analytic import _check_cap, _orders_above, matching_rates, normalizing_constant
 from .delays import delay_moments
 from .errors import DomainError, DuplicateType, UnknownIdentifier, UnstableModel
-from .model import MatchingModel, check_stability, validate
+from .model import MatchingModel, check_stability
 
 DEFAULT_BATCHES = 50
 MIN_BURN_IN = 10_000
@@ -242,7 +242,6 @@ def run(
     uniforms, so identical arguments give bit-identical stats. The rows are
     drawn a slice at a time, never a whole chunk.
     """
-    validate(model)
     report = check_stability(model)
     if not report.stable:
         raise UnstableModel("refusing to simulate an unstable model", witness=report.witness)

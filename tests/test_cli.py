@@ -43,6 +43,29 @@ def test_validate_malformed_json_exits_2(tmp_path, capsys):
     assert payload["errors"]
 
 
+@pytest.mark.parametrize("field", ["lambda_bar", "mu_bar"])
+def test_infinite_rate_exits_2(tmp_path, capsys, example3x3, field):
+    data = example3x3.to_json_dict()
+    data[field] = float("inf")  # json writes Infinity, which json.load reads back
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["rates", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid model: {field} = inf must be positive and finite" in captured.err
+    assert main(["validate", "--model", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["valid"] is False
+
+
+def test_output_options_only_where_they_change_output(model_file, capsys):
+    for command in ("validate", "sweep"):
+        for extra in (["--format", "csv"], ["--table"]):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--model", str(model_file), *extra])
+            assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_validate_shows_instability_witness(tmp_path, capsys):
     model = make_disjoint_pairs().with_lambda_bar(0.9)
     assert main(["validate", "--model", _model_path(tmp_path, model)]) == 0

@@ -44,62 +44,91 @@ def test_example3x3_is_valid(example3x3):
 
 
 def test_frequency_sum_error():
-    model = MatchingModel(
-        agent_types=(("c1", 0.3), ("c2", 0.5), ("c3", 0.3)),
-        good_types=(("s1", 0.5), ("s2", 0.5)),
-        edges=frozenset({("s1", "c1"), ("s1", "c2"), ("s2", "c3")}),
-        lambda_bar=0.5,
-        mu_bar=1.0,
-    )
     with pytest.raises(ModelValidationError) as exc:
-        validate(model)
+        MatchingModel(
+            agent_types=(("c1", 0.3), ("c2", 0.5), ("c3", 0.3)),
+            good_types=(("s1", 0.5), ("s2", 0.5)),
+            edges=frozenset({("s1", "c1"), ("s1", "c2"), ("s2", "c3")}),
+            lambda_bar=0.5,
+            mu_bar=1.0,
+        )
     assert any(isinstance(i, FrequencySumError) for i in exc.value.issues)
 
 
 def test_duplicate_identifier_is_one_validation_issue():
     assert DuplicateIdentifier is DuplicateType
     assert issubclass(DuplicateType, ValidationIssue)
-    model = MatchingModel(
-        agent_types=(("c1", 0.5), ("c1", 0.5)),
-        good_types=(("s1", 1.0),),
-        edges=frozenset({("s1", "c1")}),
-        lambda_bar=0.5,
-        mu_bar=1.0,
-    )
     with pytest.raises(ModelValidationError) as exc:
-        validate(model)
+        MatchingModel(
+            agent_types=(("c1", 0.5), ("c1", 0.5)),
+            good_types=(("s1", 1.0),),
+            edges=frozenset({("s1", "c1")}),
+            lambda_bar=0.5,
+            mu_bar=1.0,
+        )
     assert [type(i) for i in exc.value.issues] == [DuplicateType]
 
 
 def test_isolated_agent_type_rejected():
-    model = MatchingModel(
-        agent_types=(("c1", 0.5), ("c2", 0.3), ("c3", 0.2)),
-        good_types=(("s1", 0.5), ("s2", 0.5)),
-        edges=frozenset({("s1", "c1"), ("s2", "c2")}),
-        lambda_bar=0.5,
-        mu_bar=1.0,
-    )
     with pytest.raises(ModelValidationError) as exc:
-        validate(model)
+        MatchingModel(
+            agent_types=(("c1", 0.5), ("c2", 0.3), ("c3", 0.2)),
+            good_types=(("s1", 0.5), ("s2", 0.5)),
+            edges=frozenset({("s1", "c1"), ("s2", "c2")}),
+            lambda_bar=0.5,
+            mu_bar=1.0,
+        )
     assert any(isinstance(i, IsolatedAgentType) for i in exc.value.issues)
 
 
 def test_all_violations_reported_together():
-    model = MatchingModel(
-        agent_types=(("c1", 0.7), ("c2", -0.1)),
-        good_types=(("s1", 1.0),),
-        edges=frozenset({("s1", "c1"), ("s9", "c1")}),
-        lambda_bar=0.0,
-        mu_bar=1.0,
-    )
     with pytest.raises(ModelValidationError) as exc:
-        validate(model)
+        MatchingModel(
+            agent_types=(("c1", 0.7), ("c2", -0.1)),
+            good_types=(("s1", 1.0),),
+            edges=frozenset({("s1", "c1"), ("s9", "c1")}),
+            lambda_bar=0.0,
+            mu_bar=1.0,
+        )
     kinds = {type(i) for i in exc.value.issues}
     assert FrequencySumError in kinds
     assert NonPositiveFrequency in kinds
     assert NonPositiveRate in kinds
     assert UnknownIdentifier in kinds
     assert IsolatedAgentType in kinds  # c2 has no edge
+
+
+def _model_with(**changes):
+    fields = {
+        "agent_types": (("c1", 0.5), ("c2", 0.5)),
+        "good_types": (("s1", 1.0),),
+        "edges": frozenset({("s1", "c1"), ("s1", "c2")}),
+        "lambda_bar": 0.5,
+        "mu_bar": 1.0,
+    }
+    fields.update(changes)
+    return MatchingModel(**fields)
+
+
+@pytest.mark.parametrize(
+    "build, kind",
+    [
+        (lambda: _model_with(edges=frozenset({("s1", "c1"), ("s1", "c2"), ("s9", "c1")})),
+         UnknownIdentifier),
+        (lambda: _model_with(lambda_bar=0.0), NonPositiveRate),
+        (lambda: _model_with(lambda_bar=-0.5), NonPositiveRate),
+        (lambda: _model_with(mu_bar=math.inf), NonPositiveRate),
+        (lambda: _model_with(agent_types=(("c1", 0.5), ("c2", 0.6))), FrequencySumError),
+        (lambda: _model_with(agent_types=(("c1", 0.5), ("c1", 0.5))), DuplicateType),
+        (lambda: make_example3x3().with_lambda_bar(-1.0), NonPositiveRate),
+    ],
+    ids=["unknown-good", "lambda-zero", "lambda-negative", "mu-inf", "agent-sum",
+         "duplicate-name", "with-lambda-bar"],
+)
+def test_invalid_model_cannot_be_built(build, kind):
+    with pytest.raises(ModelValidationError) as exc:
+        build()
+    assert any(isinstance(i, kind) for i in exc.value.issues)
 
 
 def test_compatible_goods_examples(example3x3):
