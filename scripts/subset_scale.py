@@ -2,6 +2,7 @@
 
     python3 scripts/subset_scale.py --src src --types 9,14,17,20 --repeats 3
     python3 scripts/subset_scale.py --src src --types 14,17,20 --probes table,rates,delays
+    python3 scripts/subset_scale.py --src src --types 16,18 --probes sweep
 
 --src is the source directory of the tree to measure, so two checkouts can be
 compared with the same script. For each I the script writes one random model
@@ -17,7 +18,8 @@ that loads the model and makes one cold call:
     table           analytic._subset_table
     min_stage_rate  delays.min_stage_rate
     rates           analytic.matching_rates
-    delays          delays.delay_moments (the delay and the wait moments)
+    delays          delays.delay_moments (the delay moments)
+    sweep           limits.sweep on 9 points evenly over [rho / 2, rho]
 
 A probe reports its wall time (time.perf_counter around the call, import and
 model load excluded) and the process's peak RSS (ru_maxrss, interpreter and
@@ -39,7 +41,8 @@ import tempfile
 import time
 from pathlib import Path
 
-PROBES = ("scan", "checks", "table", "min_stage_rate", "rates", "delays")
+PROBES = ("scan", "checks", "table", "min_stage_rate", "rates", "delays", "sweep")
+SWEEP_POINTS = 9
 EDGE_DENSITY = 0.4
 DIRICHLET_SHAPE = 2.0
 RHO_FRACTION = 0.8
@@ -86,7 +89,7 @@ def write_model(n: int, seed: int, path: Path) -> None:
 def probe(src: str, name: str, model_path: str) -> dict:
     """One cold call in this interpreter."""
     sys.path.insert(0, str(Path(src).resolve()))
-    from fcfs_match import analytic, delays, model as model_mod
+    from fcfs_match import analytic, delays, limits, model as model_mod
 
     model = model_mod.load_model(model_path)
     calls = {
@@ -96,6 +99,8 @@ def probe(src: str, name: str, model_path: str) -> dict:
         "min_stage_rate": [delays.min_stage_rate],
         "rates": [analytic.matching_rates],
         "delays": [delays.delay_moments],
+        "sweep": [lambda m: limits.sweep(m, [m.rho * (SWEEP_POINTS - 1 + k) / (2 * SWEEP_POINTS - 2)
+                                             for k in range(SWEEP_POINTS)])],
     }[name]
     start = time.perf_counter()
     for call in calls:

@@ -19,7 +19,7 @@ import sys
 from . import __version__
 from ._format import fmt12, round12
 from .analytic import matching_rates
-from .delays import delay_moments
+from .delays import delay_moments, wait_moments
 from .errors import (
     DomainError,
     FcfsMatchError,
@@ -60,7 +60,9 @@ def _rate_table(model, report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _moment_table(model, pair_mean, pair_var, agent_mean, agent_var, label: str) -> str:
+def _moment_table(model, report, label: str) -> str:
+    pair_mean, pair_var = report.pair_mean, report.pair_var
+    agent_mean, agent_var = report.agent_mean, report.agent_var
     agents = model.agent_names
     lines = [f"{label} mean" + "".join(f"{a:>9}" for a in agents)]
     for g in model.good_names:
@@ -119,25 +121,24 @@ def cmd_rates(args) -> int:
     return EXIT_OK
 
 
-def _cmd_moments(args, kind: str) -> int:
+def _cmd_moments(args, moments, label: str) -> int:
     model = load_model(args.model)
-    report = delay_moments(model)  # holds the wait moments too
-    pm, pv, am, av = report.tables(kind)
+    report = moments(model)
     if args.table:
-        _write(args, _moment_table(model, pm, pv, am, av, kind))
+        _write(args, _moment_table(model, report, label))
     elif args.format == "csv":
-        _write(args, report.to_csv(kind))
+        _write(args, report.to_csv())
     else:
-        _emit_json(args, report.to_json_dict(kind))
+        _emit_json(args, report.to_json_dict())
     return EXIT_OK
 
 
 def cmd_delays(args) -> int:
-    return _cmd_moments(args, "delay")
+    return _cmd_moments(args, delay_moments, "delay")
 
 
 def cmd_waits(args) -> int:
-    return _cmd_moments(args, "wait")
+    return _cmd_moments(args, wait_moments, "wait")
 
 
 def _grid(args) -> list[float]:
@@ -159,23 +160,21 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .simulator import default_burn_in, run  # numpy loads only for the simulator commands
+    from .simulator import run  # numpy loads only for the simulator commands
 
     model = load_model(args.model)
-    burn_in = args.burn_in if args.burn_in >= 0 else default_burn_in(args.events)
-    stats = run(model, args.events, args.seed, burn_in=burn_in)
+    stats = run(model, args.events, args.seed, burn_in=args.burn_in)
     _emit_json(args, stats.to_json_dict())
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    from .simulator import compare_with_analytic, default_burn_in, run
+    from .simulator import compare_with_analytic, run
 
     if not args.z_max > 0:  # NaN would pass every row
         raise DomainError(f"--z-max must be positive, got {args.z_max:g}")
     model = load_model(args.model)
-    burn_in = args.burn_in if args.burn_in >= 0 else default_burn_in(args.events)
-    stats = run(model, args.events, args.seed, burn_in=burn_in)
+    stats = run(model, args.events, args.seed, burn_in=args.burn_in)
     rows = compare_with_analytic(model, stats)
     if args.corrupt:
         rows = [
@@ -221,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_rng:
             p.add_argument("--events", type=int, default=1_000_000)
             p.add_argument("--seed", type=int, default=1)
-            p.add_argument("--burn-in", type=int, default=-1,
+            p.add_argument("--burn-in", type=int, default=None,
                            help="events discarded before tallying (default: 1%% of run, min 1e4)")
 
     p = sub.add_parser("validate", help="check model invariants, stability, pooling")

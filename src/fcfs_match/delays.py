@@ -13,6 +13,8 @@ delay's D gaps and every wait value follows from the delay law:
 E[W] = E[D] / Lambda, Var W = (Var D + E[D]) / Lambda^2 and
 E[exp(sW)] = E[z^D] at z = Lambda / (Lambda - s). A stage's Geom(theta /
 Lambda) count of gaps is then Exp(theta), the stage factor theta / (theta - s).
+So delay_moments reports delays, and wait_moments turns that report into
+waits; each DelayReport holds one unit only.
 """
 
 from __future__ import annotations
@@ -62,37 +64,23 @@ def geometric_stage(model: MatchingModel, prefix) -> GeometricStage:
 
 @dataclass(frozen=True)
 class DelayReport:
-    """Per-pair and per-agent-type delay moments, plus the Poisson-wait analogues.
+    """Per-pair and per-agent-type means and variances of one quantity.
 
-    Pair keys are compatibility edges (good, agent). Delay entries count
-    sequence positions; wait entries are in time units, derived from the delay
-    entries through Lambda = lambda_bar + mu_bar: mean / Lambda and
-    (variance + mean) / Lambda^2. A pair whose matching rate is zero is simply
-    absent.
+    Pair keys are compatibility edges (good, agent). The function that builds
+    the report sets its unit: delay_moments counts sequence positions,
+    wait_moments gives time units. A pair whose matching rate is zero is
+    simply absent.
     """
 
     pair_mean: dict[tuple[str, str], float]
     pair_var: dict[tuple[str, str], float]
     agent_mean: dict[str, float]
     agent_var: dict[str, float]
-    wait_pair_mean: dict[tuple[str, str], float]
-    wait_pair_var: dict[tuple[str, str], float]
-    wait_agent_mean: dict[str, float]
-    wait_agent_var: dict[str, float]
 
-    def tables(self, kind: str):
-        """(pair_mean, pair_var, agent_mean, agent_var) of kind "delay" (sequence
-        positions) or "wait" (time units)."""
-        if kind == "delay":
-            return self.pair_mean, self.pair_var, self.agent_mean, self.agent_var
-        if kind == "wait":
-            return self.wait_pair_mean, self.wait_pair_var, self.wait_agent_mean, self.wait_agent_var
-        raise ValueError(f"kind must be 'delay' or 'wait', not {kind!r}")
-
-    def to_json_dict(self, kind: str = "delay") -> dict:
+    def to_json_dict(self) -> dict:
         from ._format import round12
 
-        pm, pv, am, av = self.tables(kind)
+        pm, pv, am, av = self.pair_mean, self.pair_var, self.agent_mean, self.agent_var
         return {
             "pairs": {
                 f"{g},{a}": {"mean": round12(pm[(g, a)]), "variance": round12(pv[(g, a)])}
@@ -103,10 +91,10 @@ class DelayReport:
             },
         }
 
-    def to_csv(self, kind: str = "delay") -> str:
+    def to_csv(self) -> str:
         from ._format import fmt12
 
-        pm, pv, am, av = self.tables(kind)
+        pm, pv, am, av = self.pair_mean, self.pair_var, self.agent_mean, self.agent_var
         lines = ["good,agent,mean,variance"]
         for (g, a) in pm:
             lines.append(f"{g},{a},{fmt12(pm[(g, a)])},{fmt12(pv[(g, a)])}")
@@ -118,11 +106,7 @@ class DelayReport:
 
 
 def delay_moments(model: MatchingModel) -> DelayReport:
-    """Means and variances of per-pair and per-agent delays.
-
-    The wait fields of the returned report are filled as well, from the delay
-    moments: a wait is the sum of its delay's count of Exp(Lambda) gaps.
-    """
+    """Means and variances of per-pair and per-agent delays, in sequence positions."""
     result = _cached_pass(model)
     report = matching_rates(model)
     n = model.n_agent_types
@@ -153,23 +137,23 @@ def delay_moments(model: MatchingModel) -> DelayReport:
         agent_mean[a] = m
         agent_var[a] = second - m * m
 
+    return DelayReport(pair_mean, pair_var, agent_mean, agent_var)
+
+
+def wait_moments(model: MatchingModel) -> DelayReport:
+    """Means and variances of per-pair and per-agent waits under Poisson
+    arrivals, in time units: a wait is the sum of its delay's D gaps of
+    Exp(Lambda), so E[W] = E[D] / Lambda and Var W = (Var D + E[D]) / Lambda^2,
+    for the agent-level theta-mixture as for any law of D."""
+    d = delay_moments(model)
     rate = model.total_rate
     rate2 = rate * rate
     return DelayReport(
-        pair_mean=pair_mean,
-        pair_var=pair_var,
-        agent_mean=agent_mean,
-        agent_var=agent_var,
-        wait_pair_mean={k: e / rate for k, e in pair_mean.items()},
-        wait_pair_var={k: (v + pair_mean[k]) / rate2 for k, v in pair_var.items()},
-        wait_agent_mean={a: e / rate for a, e in agent_mean.items()},
-        wait_agent_var={a: (v + agent_mean[a]) / rate2 for a, v in agent_var.items()},
+        pair_mean={k: e / rate for k, e in d.pair_mean.items()},
+        pair_var={k: (v + d.pair_mean[k]) / rate2 for k, v in d.pair_var.items()},
+        agent_mean={a: e / rate for a, e in d.agent_mean.items()},
+        agent_var={a: (v + d.agent_mean[a]) / rate2 for a, v in d.agent_var.items()},
     )
-
-
-# Waiting-time moments under the Poisson interpretation are fields of the same
-# report, so the two names are one function.
-wait_moments = delay_moments
 
 
 def _pair_transform(model: MatchingModel, pair, z: float) -> float:

@@ -78,7 +78,9 @@ def sweep(model: MatchingModel, rho_grid) -> SweepSeries:
         if not 0.0 < rho < limit:
             raise UnstableGridPoint(rho, limit)
 
-    points = [model.with_lambda_bar(rho * model.mu_bar) for rho in grid]
+    # a generator, so each grid model and its subset scan can go once its
+    # reports are built
+    points = (model.with_lambda_bar(rho * model.mu_bar) for rho in grid)
     results = [(matching_rates(point), delay_moments(point)) for point in points]
 
     first_rates, first_delays = results[0]

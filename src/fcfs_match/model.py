@@ -16,6 +16,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
@@ -101,8 +102,11 @@ class MatchingModel:
     mu_bar: float
 
     def __post_init__(self):
-        object.__setattr__(self, "agent_types", tuple((str(n), float(a)) for n, a in self.agent_types))
-        object.__setattr__(self, "good_types", tuple((str(n), float(b)) for n, b in self.good_types))
+        def freq(x):  # validate reports anything else
+            return float(x) if _is_number(x) else x
+
+        object.__setattr__(self, "agent_types", tuple((str(n), freq(a)) for n, a in self.agent_types))
+        object.__setattr__(self, "good_types", tuple((str(n), freq(b)) for n, b in self.good_types))
         object.__setattr__(self, "edges", frozenset((str(g), str(a)) for g, a in self.edges))
         validate(self)
 
@@ -263,6 +267,11 @@ def save_model(model: MatchingModel, path) -> None:
 # --- operations ---
 
 
+def _is_number(x) -> bool:
+    """A real number: a bool or a numeric string is not one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def validate(model: MatchingModel) -> MatchingModel:
     """Check every model invariant; return the model or raise with all violations.
 
@@ -274,20 +283,22 @@ def validate(model: MatchingModel) -> MatchingModel:
             issues.append(DuplicateType(f"duplicate type identifier {name!r}"))
         seen.add(name)
 
-    a_sum = sum(a for _, a in model.agent_types)
-    b_sum = sum(b for _, b in model.good_types)
-    if not math.isclose(a_sum, 1.0, rel_tol=0.0, abs_tol=FREQ_TOL):
-        issues.append(FrequencySumError(f"agent frequencies sum to {a_sum!r}, expected 1"))
-    if not math.isclose(b_sum, 1.0, rel_tol=0.0, abs_tol=FREQ_TOL):
-        issues.append(FrequencySumError(f"good frequencies sum to {b_sum!r}, expected 1"))
-    for name, a in model.agent_types:
-        if not a > 0.0:
-            issues.append(NonPositiveFrequency(f"agent type {name!r} has frequency {a!r}"))
-    for name, b in model.good_types:
-        if not b > 0.0:
-            issues.append(NonPositiveFrequency(f"good type {name!r} has frequency {b!r}"))
+    sides = (("agent", model.agent_types), ("good", model.good_types))
+    for side, types in sides:
+        freqs = [f for _, f in types]
+        if all(map(_is_number, freqs)) and not math.isclose(
+                sum(freqs), 1.0, rel_tol=0.0, abs_tol=FREQ_TOL):
+            issues.append(FrequencySumError(f"{side} frequencies sum to {sum(freqs)!r}, expected 1"))
+    for side, types in sides:
+        for name, f in types:
+            if not _is_number(f):
+                issues.append(NonPositiveFrequency(f"{side} type {name!r} has frequency {f!r}, not a number"))
+            elif not f > 0.0:
+                issues.append(NonPositiveFrequency(f"{side} type {name!r} has frequency {f!r}"))
     for name, rate in (("lambda_bar", model.lambda_bar), ("mu_bar", model.mu_bar)):
-        if not 0.0 < rate < math.inf:  # NaN fails too
+        if not _is_number(rate):
+            issues.append(NonPositiveRate(f"{name} = {rate!r} is not a number"))
+        elif not 0.0 < rate < math.inf:  # NaN fails too
             issues.append(NonPositiveRate(f"{name} = {rate!r} must be positive and finite"))
 
     agent_set = {n for n, _ in model.agent_types}

@@ -10,7 +10,6 @@ against the enumeration results as z-scores.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -103,9 +102,10 @@ class SimStats:
         names = tuple(order)
         if len(set(names)) != len(names):
             raise DuplicateType(f"order {names} repeats an agent type")
-        key = tuple(_index(self.agent_names, nm, "agent") for nm in names)
-        row = self._dense_rows(np.array([self.order_rows.get(key, -1)]))[0]
-        return _ratio_estimate(row, self.events_counts)
+        for nm in names:
+            _index(self.agent_names, nm, "agent")  # raises on an unknown type
+        values, stderrs = self._pi_y_rows([names])
+        return Estimate(float(values[0]), float(stderrs[0]))
 
     def _dense_rows(self, rows: np.ndarray) -> np.ndarray:
         """(len(rows), batches) int64 occupancy of distinct rows; row -1 is all zeros."""
@@ -120,9 +120,11 @@ class SimStats:
     def _pi_y_rows(self, orders) -> tuple[np.ndarray, np.ndarray]:
         """Values and standard errors of pi_y for a list of distinct valid orders.
 
-        Equal, element for element, to pi_y(order): every batch holds at
-        least one event, and numpy's std along a contiguous row matches the
-        1-D std bit for bit. Only the asked orders get dense rows.
+        Each row is the batch-means ratio of the order's occupancy to the
+        events (every batch holds at least one event), and numpy's std along
+        a contiguous row matches the 1-D std bit for bit, so the answer for an
+        order does not depend on the other orders asked. Only the asked
+        orders get dense rows.
         """
         agent_index = {nm: i for i, nm in enumerate(self.agent_names)}
         rows = [self.order_rows.get(tuple(map(agent_index.__getitem__, o)), -1) for o in orders]
@@ -277,9 +279,9 @@ def run(
     delay_sqs = np.zeros((n_batches, n_good, n_agent), dtype=np.float64)
     goods_counts = np.zeros(n_batches, dtype=np.int64)
     events_counts = np.zeros(n_batches, dtype=np.int64)
-    # occupancy entries of all batches, batch after batch: order id and count
-    order_ids: dict[tuple[int, ...], int] = {}
-    entry_ids: list[int] = []
+    # occupancy entries of all batches, batch after batch: order row and count
+    order_rows: dict[tuple[int, ...], int] = {}
+    entry_rows: list[int] = []
     entry_counts: list[int] = []
     batch_entries: list[int] = []
 
@@ -323,17 +325,10 @@ def run(
         goods_counts[b] = tally.goods
         events_counts[b] = hi - lo
         if track:
-            # an entry's position is its candidate id: a new order takes it,
-            # an order seen before keeps the id it got first
-            entry_ids += map(order_ids.setdefault, tally.occupancy, itertools.count(len(entry_ids)))
+            entry_rows += [order_rows.setdefault(key, len(order_rows)) for key in tally.occupancy]
             entry_counts += tally.occupancy.values()
             batch_entries.append(len(tally.occupancy))
 
-    # rows follow the orders' first appearance
-    row_of_id = np.empty(len(entry_ids), dtype=np.int64)
-    row_of_id[list(order_ids.values())] = np.arange(len(order_ids))
-    for row, key in enumerate(order_ids):
-        order_ids[key] = row
     return SimStats(
         agent_names=model.agent_names,
         good_names=model.good_names,
@@ -347,10 +342,10 @@ def run(
         delay_sqs=delay_sqs,
         goods_counts=goods_counts,
         events_counts=events_counts,
-        entry_rows=row_of_id[entry_ids],
+        entry_rows=np.array(entry_rows, dtype=np.int64),
         entry_batches=np.repeat(np.arange(len(batch_entries)), batch_entries),
         entry_counts=np.array(entry_counts, dtype=np.int64),
-        order_rows=order_ids,
+        order_rows=order_rows,
         total_agents=total_agents,
         total_goods=n_events - total_agents,
         final_unmatched=sum(len(q) for q in queues),

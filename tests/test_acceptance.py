@@ -105,7 +105,7 @@ def test_criterion_02_documents_source_table_misprint(example3x3):
 
 def test_criterion_03_wait_list(example3x3):
     report = wait_moments(example3x3)
-    ok = all(abs(report.wait_agent_mean[a] - v) <= 5e-3 for a, v in AGENT_WAIT_MEANS.items())
+    ok = all(abs(report.agent_mean[a] - v) <= 5e-3 for a, v in AGENT_WAIT_MEANS.items())
     _criterion(3, "published 3x3 wait list (4.33, 4.41, 3.75) to +-0.005", ok)
 
 
@@ -131,7 +131,7 @@ def test_criterion_05_single_pair_closed_forms():
         ok &= abs(normalizing_constant(model) - (mu - lam) / mu) <= 1e-12
         report = delay_moments(model)
         ok &= abs(report.pair_mean[("s", "c")] - (lam + mu) / (mu - lam)) <= 1e-9
-        ok &= abs(report.wait_pair_mean[("s", "c")] - 1.0 / (mu - lam)) <= 1e-9
+        ok &= abs(wait_moments(model).pair_mean[("s", "c")] - 1.0 / (mu - lam)) <= 1e-9
     _criterion(5, "single-pair closed forms: B, E(L), E(W) (the M/M/1 oracle)", ok)
 
 
@@ -205,6 +205,7 @@ def test_criterion_08_admissibility(example3x3):
 
 def test_criterion_09_pgf_mgf_checks(example3x3):
     report = delay_moments(example3x3)
+    waits = wait_moments(example3x3)
     ok = True
     for pair, mean in report.pair_mean.items():
         ok &= abs(delay_pgf(example3x3, pair, 1.0) - 1.0) <= 1e-12
@@ -212,7 +213,7 @@ def test_criterion_09_pgf_mgf_checks(example3x3):
         ok &= abs(slope - mean) / mean <= 1e-4
         ok &= abs(wait_mgf(example3x3, pair, 0.0) - 1.0) <= 1e-12
         wslope = (wait_mgf(example3x3, pair, 1e-8) - 1.0) / 1e-8
-        wmean = report.wait_pair_mean[pair]
+        wmean = waits.pair_mean[pair]
         ok &= abs(wslope - wmean) / wmean <= 1e-4
     _criterion(9, "PGF/MGF normalization at 1e-12 and derivative means at 1e-4", ok)
 

@@ -22,6 +22,7 @@ from fcfs_match import (
     pi_y_perm,
     validate,
     wait_mgf,
+    wait_moments,
 )
 from fcfs_match.analytic import _orders_above, _subset_table
 from fcfs_match.errors import DuplicateType, UnknownIdentifier
@@ -87,8 +88,9 @@ def test_too_many_types_cap():
     assert moments.pair_mean[("s", "c0")] == pytest.approx((lam + mu) / (mu - lam), rel=1e-12)
     # and every wait is Exp(mu_bar - lambda_bar), the M/M/1 sojourn time, for
     # a pair and for an agent type alike
-    for mean, var, key in ((moments.wait_pair_mean, moments.wait_pair_var, ("s", "c0")),
-                           (moments.wait_agent_mean, moments.wait_agent_var, "c12")):
+    waits = wait_moments(model)
+    for mean, var, key in ((waits.pair_mean, waits.pair_var, ("s", "c0")),
+                           (waits.agent_mean, waits.agent_var, "c12")):
         assert mean[key] == pytest.approx(1.0 / (mu - lam), rel=1e-12)
         assert var[key] == pytest.approx(1.0 / (mu - lam) ** 2, rel=1e-12)
 

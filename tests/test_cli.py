@@ -57,6 +57,35 @@ def test_infinite_rate_exits_2(tmp_path, capsys, example3x3, field):
     assert json.loads(capsys.readouterr().out)["valid"] is False
 
 
+def _one_pair_data(alpha=1.0, lambda_bar=0.5) -> dict:
+    return {"agents": [{"name": "c", "alpha": alpha}], "goods": [{"name": "s", "beta": 1.0}],
+            "edges": [["s", "c"]], "lambda_bar": lambda_bar, "mu_bar": 2}
+
+
+# model data with a value that is not a number, and its count of violations
+NOT_NUMBERS = {
+    "booleans": (_one_pair_data(alpha=True, lambda_bar=True), 2),
+    "string-frequency": (_one_pair_data(alpha="1"), 1),
+    "string-rate": (_one_pair_data(lambda_bar="0.5"), 1),
+}
+
+
+@pytest.mark.parametrize("case", list(NOT_NUMBERS))
+def test_non_numbers_are_invalid(tmp_path, capsys, case):
+    data, n_issues = NOT_NUMBERS[case]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", "--model", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["valid"] is False
+    assert len(payload["errors"]) == n_issues  # one issue per violation
+    assert main(["rates", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid model" in captured.err
+    assert "not a number" in captured.err
+
+
 def test_output_options_only_where_they_change_output(model_file, capsys):
     for command in ("validate", "sweep"):
         for extra in (["--format", "csv"], ["--table"]):
@@ -259,6 +288,15 @@ def test_negative_seed_exits_2(capsys, model_file):
         assert main(args) == 2
         captured = capsys.readouterr()
         assert captured.err == "error: seed must be non-negative, got -1\n"
+        assert captured.out == ""
+
+
+def test_negative_burn_in_exits_2(capsys, model_file):
+    for command in ("simulate", "verify"):
+        args = [command, "--model", str(model_file), "--events", "2000", "--burn-in", "-1"]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: need 0 <= burn_in < n_events, got -1 / 2000\n"
         assert captured.out == ""
 
 

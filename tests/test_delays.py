@@ -86,9 +86,9 @@ def test_delay_table_published(example3x3):
 def test_wait_list_published(example3x3):
     report = wait_moments(example3x3)
     for agent, expected in EXPECTED_AGENT_WAIT_MEAN.items():
-        assert report.wait_agent_mean[agent] == pytest.approx(expected, abs=5e-3)
+        assert report.agent_mean[agent] == pytest.approx(expected, abs=5e-3)
     for agent, expected in EXPECTED_AGENT_WAIT_SD.items():
-        assert math.sqrt(report.wait_agent_var[agent]) == pytest.approx(expected, abs=5e-3)
+        assert math.sqrt(report.agent_var[agent]) == pytest.approx(expected, abs=5e-3)
 
 
 def test_single_pair_closed_forms():
@@ -96,19 +96,21 @@ def test_single_pair_closed_forms():
     report = delay_moments(model)
     assert report.pair_mean[("s", "c")] == pytest.approx(3.0, rel=1e-12)
     assert report.pair_var[("s", "c")] == pytest.approx(6.0, rel=1e-12)
-    assert report.wait_pair_mean[("s", "c")] == pytest.approx(2.0, rel=1e-12)
-    assert report.wait_pair_var[("s", "c")] == pytest.approx(4.0, rel=1e-12)
+    waits = wait_moments(model)
+    assert waits.pair_mean[("s", "c")] == pytest.approx(2.0, rel=1e-12)
+    assert waits.pair_var[("s", "c")] == pytest.approx(4.0, rel=1e-12)
     # general single-pair forms: E(L) = (lam+mu)/(mu-lam), E(W) = 1/(mu-lam)
     other = make_single_pair(0.3, 1.1)
     rep = delay_moments(other)
     assert rep.pair_mean[("s", "c")] == pytest.approx(1.4 / 0.8, rel=1e-12)
-    assert rep.wait_pair_mean[("s", "c")] == pytest.approx(1 / 0.8, rel=1e-12)
+    assert wait_moments(other).pair_mean[("s", "c")] == pytest.approx(1 / 0.8, rel=1e-12)
 
 
 def test_wait_is_delay_over_total_rate(example3x3):
     report = delay_moments(example3x3)
+    waits = wait_moments(example3x3)
     for pair, m in report.pair_mean.items():
-        assert report.wait_pair_mean[pair] == pytest.approx(m / 1.7, abs=1e-9)
+        assert waits.pair_mean[pair] == pytest.approx(m / 1.7, abs=1e-9)
 
 
 def test_agent_moments_are_theta_mixtures(example3x3):
@@ -129,11 +131,12 @@ def test_moment_positivity_random_models():
     for _ in range(12):
         model = random_stable_model(rng, max_agents=4, max_goods=4)
         report = delay_moments(model)
+        waits = wait_moments(model)
         for pair, m in report.pair_mean.items():
             assert m >= 1.0
             assert report.pair_var[pair] >= 0.0
-            assert report.wait_pair_mean[pair] > 0.0
-            assert report.wait_pair_var[pair] >= 0.0
+            assert waits.pair_mean[pair] > 0.0
+            assert waits.pair_var[pair] >= 0.0
         for a, m in report.agent_mean.items():
             assert m >= 1.0
             assert report.agent_var[a] >= 0.0
@@ -168,10 +171,10 @@ def test_pgf_domain_and_zero_rate(example3x3):
 def test_mgf_normalization_and_derivative(example3x3):
     report = wait_moments(example3x3)
     h = 1e-8
-    for pair in report.wait_pair_mean:
+    for pair in report.pair_mean:
         assert wait_mgf(example3x3, pair, 0.0) == pytest.approx(1.0, abs=1e-12)
         slope = (wait_mgf(example3x3, pair, h) - 1.0) / h
-        assert slope == pytest.approx(report.wait_pair_mean[pair], rel=1e-4)
+        assert slope == pytest.approx(report.pair_mean[pair], rel=1e-4)
 
 
 def test_mgf_hand_value_single_pair():
@@ -198,15 +201,12 @@ def test_min_stage_rate_builds_no_table():
 
 
 def test_delay_report_serialization_round_trip(example3x3):
-    report = delay_moments(example3x3)
-    for kind, pm, am in (
-        ("delay", report.pair_mean, report.agent_mean),
-        ("wait", report.wait_pair_mean, report.wait_agent_mean),
-    ):
-        payload = report.to_json_dict(kind)
+    for report in (delay_moments(example3x3), wait_moments(example3x3)):
+        pm, am = report.pair_mean, report.agent_mean
+        payload = report.to_json_dict()
         for (g, a), v in pm.items():
             assert abs(payload["pairs"][f"{g},{a}"]["mean"] - v) <= 1e-12 * max(1.0, abs(v))
-        lines = report.to_csv(kind).splitlines()
+        lines = report.to_csv().splitlines()
         assert lines[0] == "good,agent,mean,variance"
         split = lines.index("")
         for line in lines[1:split]:

@@ -121,14 +121,24 @@ def _model_with(**changes):
         (lambda: _model_with(agent_types=(("c1", 0.5), ("c2", 0.6))), FrequencySumError),
         (lambda: _model_with(agent_types=(("c1", 0.5), ("c1", 0.5))), DuplicateType),
         (lambda: make_example3x3().with_lambda_bar(-1.0), NonPositiveRate),
+        (lambda: _model_with(lambda_bar="0.5"), NonPositiveRate),
+        (lambda: _model_with(mu_bar=True), NonPositiveRate),
+        (lambda: _model_with(agent_types=(("c1", "0.5"), ("c2", 0.5))), NonPositiveFrequency),
     ],
     ids=["unknown-good", "lambda-zero", "lambda-negative", "mu-inf", "agent-sum",
-         "duplicate-name", "with-lambda-bar"],
+         "duplicate-name", "with-lambda-bar", "lambda-string", "mu-bool", "alpha-string"],
 )
 def test_invalid_model_cannot_be_built(build, kind):
     with pytest.raises(ModelValidationError) as exc:
         build()
     assert any(isinstance(i, kind) for i in exc.value.issues)
+
+
+def test_numpy_numbers_are_numbers():
+    model = _model_with(agent_types=(("c1", np.float32(0.5)), ("c2", np.float64(0.5))),
+                        lambda_bar=np.float64(0.5), mu_bar=np.int64(1))
+    assert model.alpha == (0.5, 0.5)
+    assert model.rho == 0.5
 
 
 def test_compatible_goods_examples(example3x3):
