@@ -11,8 +11,10 @@ Lambda = lambda_bar + mu_bar, a Poisson wait is the sum of its delay's count
 of Exp(Lambda) gaps, so delays.py derives every wait value from the delay law
 through Lambda. The table's theta is the list of the model's subset scan
 (MatchingModel.subset_scan), the same pass that answers the stability,
-pooling and rho* checks; the scan refuses a model whose 2^I-set lists would
-not fit in memory. No other limit applies to the table.
+pooling and rho* checks. The table is built only for a model that
+check_stability calls stable, so every theta is at least STABILITY_MARGIN *
+Lambda; the scan refuses a model whose 2^I-set lists would not fit in memory.
+No other limit applies to the table.
 
 enumerate_terms, the depth-first walk over all e * I! ordered subsets, stays
 as public API and as the independent oracle the table is tested against. It
@@ -25,17 +27,15 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, DuplicateType, TooManyTypes, UnknownIdentifier, UnstableModel
-from .model import MatchingModel
+from .errors import DomainError, DuplicateType, TooManyTypes, UnknownIdentifier
+from .model import MatchingModel, _stable_scan
 
 # Agent types above which an e * I! walk (enumerate_terms, and
-# simulator.analytic_pi_y, which lists every order) is refused: 13 types
-# already have about 1.7e10 ordered subsets.
-DEFAULT_TYPE_CAP = 12
-
-# Prefixes whose drain margin (mu_set - lambda_set) / (lambda_bar + mu_bar) falls
-# below this are treated as unstable rather than producing astronomical weights.
-STABILITY_MARGIN = 1e-12
+# simulator.analytic_pi_y, which lists every order) is refused. Each added
+# type multiplies the orders by about I: at 9 fully connected types
+# analytic_pi_y holds 986,410 orders in about 240 MB, so 11 types (1.1e8
+# orders) would need some 23 GB.
+DEFAULT_TYPE_CAP = 10
 
 
 class PermutationTerm(NamedTuple):
@@ -60,23 +60,6 @@ def _check_cap(model: MatchingModel) -> None:
         )
 
 
-def _drain_rates(model: MatchingModel) -> tuple[list[float], float]:
-    """The scan's drain rates theta(S) by agent mask and their minimum over
-    nonempty sets. Raises UnstableModel, naming that set, when its drain
-    margin theta / (lambda_bar + mu_bar) is below STABILITY_MARGIN."""
-    scan = model.subset_scan
-    low = scan.theta[scan.worst]
-    if low / model.total_rate < STABILITY_MARGIN:
-        witness = model.subset_from_mask("agent", scan.worst)
-        if low <= 0.0:
-            message = (f"model is unstable: agent subset {witness.names} has arrival rate "
-                       f"{witness.rate!r} >= compatible good rate")
-        else:
-            message = f"agent subset {witness.names} has drain margin below {STABILITY_MARGIN:g}"
-        raise UnstableModel(message, witness=witness)
-    return scan.theta, low
-
-
 def enumerate_terms(model: MatchingModel, visit: Callable[[PermutationTerm], None]) -> int:
     """Visit every nonempty ordered subset of agent types once; return the count.
 
@@ -85,13 +68,12 @@ def enumerate_terms(model: MatchingModel, visit: Callable[[PermutationTerm], Non
     DEFAULT_TYPE_CAP agent types are refused with TooManyTypes.
     """
     _check_cap(model)
-    _drain_rates(model)
+    _stable_scan(model)  # so every prefix set below drains at a positive rate
     n = model.n_agent_types
     names = model.agent_names
     lam = model.agent_rates
     good_masks = model.goods_of_agent
     mu = model.good_rates
-    total_rate = model.total_rate
     count = 0
     make = PermutationTerm
 
@@ -110,12 +92,7 @@ def enumerate_terms(model: MatchingModel, visit: Callable[[PermutationTerm], Non
                     nmu += mu[j]
                 add >>= 1
                 j += 1
-            theta = nmu - nls
-            if theta / total_rate < STABILITY_MARGIN:
-                raise UnstableModel(
-                    f"prefix {order + (names[i],)} has drain margin below {STABILITY_MARGIN:g}"
-                )
-            x = weight * lam[i] / theta
+            x = weight * lam[i] / (nmu - nls)
             norder = order + (names[i],)
             npl = p_lam + (nls,)
             npm = p_mu + (nmu,)
@@ -157,8 +134,8 @@ class _SubsetTable:
 def _subset_table(model: MatchingModel) -> _SubsetTable:
     """Build the table: theta from the model's subset scan, W by increasing
     mask, the completions by decreasing mask, then the per-pair sums. Raises
-    UnstableModel when any set has a drain margin below STABILITY_MARGIN."""
-    theta = _drain_rates(model)[0]
+    UnstableModel unless check_stability calls the model stable."""
+    theta = _stable_scan(model).theta
     n = model.n_agent_types
     size = 1 << n
     total_rate = model.total_rate

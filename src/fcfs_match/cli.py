@@ -109,36 +109,29 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _cmd_report(args, compute, table) -> int:
+    """Write compute(model) as JSON, as CSV or, with --table, as table(model, report)."""
+    model = load_model(args.model)
+    report = compute(model)
+    if args.table:
+        _write(args, table(model, report))
+    elif args.format == "csv":
+        _write(args, report.to_csv())
+    else:
+        _emit_json(args, report.to_json_dict())
+    return EXIT_OK
+
+
 def cmd_rates(args) -> int:
-    model = load_model(args.model)
-    report = matching_rates(model)
-    if args.table:
-        _write(args, _rate_table(model, report))
-    elif args.format == "csv":
-        _write(args, report.to_csv())
-    else:
-        _emit_json(args, report.to_json_dict())
-    return EXIT_OK
-
-
-def _cmd_moments(args, moments, label: str) -> int:
-    model = load_model(args.model)
-    report = moments(model)
-    if args.table:
-        _write(args, _moment_table(model, report, label))
-    elif args.format == "csv":
-        _write(args, report.to_csv())
-    else:
-        _emit_json(args, report.to_json_dict())
-    return EXIT_OK
+    return _cmd_report(args, matching_rates, _rate_table)
 
 
 def cmd_delays(args) -> int:
-    return _cmd_moments(args, delay_moments, "delay")
+    return _cmd_report(args, delay_moments, lambda m, r: _moment_table(m, r, "delay"))
 
 
 def cmd_waits(args) -> int:
-    return _cmd_moments(args, wait_moments, "wait")
+    return _cmd_report(args, wait_moments, lambda m, r: _moment_table(m, r, "wait"))
 
 
 def _grid(args) -> list[float]:

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analytic import _cached_pass, _drain_rates, _mixture, matching_rates
-from .errors import DomainError, DuplicateType, UnknownIdentifier, UnstableModel, ZeroRate
-from .model import MatchingModel
+from .analytic import _cached_pass, _mixture, matching_rates
+from .errors import DomainError, DuplicateType, UnknownIdentifier, ZeroRate
+from .model import MatchingModel, _stable_scan
 
 
 @dataclass(frozen=True)
@@ -42,24 +42,17 @@ class GeometricStage:
 
 
 def geometric_stage(model: MatchingModel, prefix) -> GeometricStage:
-    """Stage parameter (mu_{S(prefix)} - lambda_prefix) / (lambda_bar + mu_bar)."""
+    """Stage parameter theta(prefix set) / (lambda_bar + mu_bar), with theta =
+    mu_{S(C)} - lambda_C read from the subset scan: the stage depends only on
+    the set of the prefix, not on its order. Raises UnstableModel unless
+    check_stability calls the model stable."""
     names = tuple(prefix)
     if not names:
         raise DomainError("prefix must be a nonempty sequence of agent types")
     if len(set(names)) != len(names):
         raise DuplicateType(f"prefix {names} repeats an agent type")
-    lam_set = 0.0
-    s_mask = 0
-    for nm in names:
-        i = model.agent_index.get(nm)
-        if i is None:
-            raise UnknownIdentifier(f"unknown agent type {nm!r}")
-        lam_set += model.agent_rates[i]
-        s_mask |= model.goods_of_agent[i]
-    p = (model.subset_from_mask("good", s_mask).rate - lam_set) / model.total_rate
-    if p <= 0.0:
-        raise UnstableModel(f"prefix {names} has nonpositive drain margin")
-    return GeometricStage(p)
+    mask = model.agent_subset(names).mask
+    return GeometricStage(_stable_scan(model).theta[mask] / model.total_rate)
 
 
 @dataclass(frozen=True)
@@ -187,8 +180,10 @@ def delay_pgf(model: MatchingModel, pair, z: float) -> float:
 
 
 def min_stage_rate(model: MatchingModel) -> float:
-    """Smallest drain rate mu_{S(C)} - lambda_C over nonempty agent subsets."""
-    return _drain_rates(model)[1]
+    """Smallest drain rate mu_{S(C)} - lambda_C over nonempty agent subsets.
+    Raises UnstableModel unless check_stability calls the model stable."""
+    scan = _stable_scan(model)
+    return scan.theta[scan.worst]
 
 
 def wait_mgf(model: MatchingModel, pair, s: float) -> float:

@@ -78,22 +78,12 @@ class UnmatchedList:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def types(self) -> tuple[str, ...]:
-        return tuple(t for t, _ in self.entries)
-
     def first_appearance_order(self) -> tuple[str, ...]:
         seen: list[str] = []
         for t, _ in self.entries:
             if t not in seen:
                 seen.append(t)
         return tuple(seen)
-
-
-def generate_item(rng, model: MatchingModel, index: int = 0) -> SequenceItem:
-    """Draw one item: a kind uniform, then a type uniform (inverse CDF)."""
-    kind_u = rng.random()
-    type_u = rng.random()
-    return item_from_uniforms(model, index, kind_u, type_u)
 
 
 def item_from_uniforms(model: MatchingModel, index: int, kind_u: float, type_u: float) -> SequenceItem:
@@ -206,9 +196,6 @@ class ExchangedSequence:
                 f"(starts at {self.certified_start})"
             )
         return position
-
-    def certified_slice(self) -> tuple[tuple[str, str], ...]:
-        return self.items[self.certified_start:]
 
 
 def exchange_transform(window: MatchWindow) -> ExchangedSequence:

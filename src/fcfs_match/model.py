@@ -30,9 +30,16 @@ from .errors import (
     NonPositiveRate,
     TooManyTypes,
     UnknownIdentifier,
+    UnstableModel,
 )
 
 FREQ_TOL = 1e-12
+
+# A model is stable when every agent set's drain margin theta(C) / (lambda_bar
+# + mu_bar) is at least this. theta = mu_{S(C)} - lambda_C is a difference of
+# sums of order Lambda, so below this margin its relative rounding error is
+# about 1e-4 or more and the sign of theta says little.
+STABILITY_MARGIN = 1e-12
 
 # The subset table in analytic.py, the largest user of the per-set sums, keeps
 # 5 lists of 2^I floats (theta, W, F0 and two delay completions) while it is
@@ -67,7 +74,7 @@ class StabilityReport(NamedTuple):
 
 
 class MaxStableRho(NamedTuple):
-    value: float  # stability threshold: stable iff lambda_bar/mu_bar < value
+    value: float  # stable iff lambda_bar/mu_bar < value, up to STABILITY_MARGIN
     uncapped: float  # minimum over proper nonempty subsets only (inf when I == 1)
     witness: tuple[str, ...]  # argmin agent subset for `value`
 
@@ -81,7 +88,7 @@ class SubsetScan(NamedTuple):
     """
 
     theta: list[float]
-    worst: int  # argmin mask of theta; the model is unstable iff theta[worst] <= 0
+    worst: int  # argmin mask of theta; its margin decides stability (check_stability)
     crp: bool
     rho: MaxStableRho
 
@@ -409,17 +416,33 @@ def _scan_subsets(model: MatchingModel) -> SubsetScan:
 
 
 def check_stability(model: MatchingModel) -> StabilityReport:
-    """Strict inequality lambda_C < mu_{S(C)} for every nonempty agent subset.
-
-    Equality counts as unstable. The witness is the subset with the largest
-    violation lambda_C - mu_{S(C)}, which is -theta(C) exactly in IEEE
-    arithmetic, so it is the scan's argmin of theta; ties break toward smaller
-    cardinality, then lexicographic order of type indices.
+    """lambda_C < mu_{S(C)} for every nonempty agent subset C, with room to spare:
+    the drain margin theta(C) / (lambda_bar + mu_bar) must be at least
+    STABILITY_MARGIN, so equality and a margin lost in rounding count as
+    unstable. The witness is the set of smallest drain rate theta, the scan's
+    argmin; as lambda_C - mu_{S(C)} is -theta(C) exactly in IEEE arithmetic, it
+    is the set of largest violation when the model is unstable. Ties break
+    toward smaller cardinality, then lexicographic order of type indices.
     """
     scan = model.subset_scan
-    if scan.theta[scan.worst] > 0.0:
+    if scan.theta[scan.worst] / model.total_rate >= STABILITY_MARGIN:
         return StabilityReport(stable=True, witness=None)
     return StabilityReport(stable=False, witness=model.subset_from_mask("agent", scan.worst))
+
+
+def _stable_scan(model: MatchingModel) -> SubsetScan:
+    """The model's subset scan, for a computation that needs a stable model.
+    Raises UnstableModel with check_stability's witness otherwise."""
+    report = check_stability(model)
+    if report.stable:
+        return model.subset_scan
+    witness = report.witness
+    if model.subset_scan.theta[witness.mask] <= 0.0:
+        message = (f"model is unstable: agent subset {witness.names} has arrival rate "
+                   f"{witness.rate!r} >= compatible good rate")
+    else:
+        message = f"agent subset {witness.names} has drain margin below {STABILITY_MARGIN:g}"
+    raise UnstableModel(message, witness=witness)
 
 
 def check_crp(model: MatchingModel) -> bool:
@@ -428,7 +451,8 @@ def check_crp(model: MatchingModel) -> bool:
 
 
 def max_stable_rho(model: MatchingModel) -> MaxStableRho:
-    """Largest traffic intensity below which the model is stable.
+    """Largest traffic intensity below which the model is stable, up to the
+    STABILITY_MARGIN that check_stability adds.
 
     value = min over nonempty agent subsets C of beta_{S(C)} / alpha_C (this is
     never above 1 because the full set contributes beta_{S(C)} <= 1); uncapped

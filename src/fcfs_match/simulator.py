@@ -20,8 +20,8 @@ import numpy as np
 from . import _kernel
 from .analytic import _check_cap, _orders_above, matching_rates, normalizing_constant
 from .delays import delay_moments
-from .errors import DomainError, DuplicateType, UnknownIdentifier, UnstableModel
-from .model import MatchingModel, check_stability
+from .errors import DomainError, DuplicateType, UnknownIdentifier
+from .model import MatchingModel, _stable_scan
 
 DEFAULT_BATCHES = 50
 MIN_BURN_IN = 10_000
@@ -244,9 +244,7 @@ def run(
     uniforms, so identical arguments give bit-identical stats. The rows are
     drawn a slice at a time, never a whole chunk.
     """
-    report = check_stability(model)
-    if not report.stable:
-        raise UnstableModel("refusing to simulate an unstable model", witness=report.witness)
+    _stable_scan(model)  # refuses an unstable model
     if burn_in is None:
         burn_in = default_burn_in(n_events)
     if not 0 <= burn_in < n_events:

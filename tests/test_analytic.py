@@ -67,6 +67,20 @@ def test_term_count_ten_types():
     assert _count_terms(model) == 9_864_100
 
 
+def test_eleven_types_exceed_the_walk_cap():
+    agents = tuple((f"c{i}", 1.0 / 11) for i in range(11))
+    edges = frozenset(("s", f"c{i}") for i in range(11))
+    model = validate(MatchingModel(agents, (("s", 1.0),), edges, 0.5, 1.0))
+
+    def refuse(term):  # a walk that started would stop here, not run for hours
+        raise AssertionError("the walk visited a term")
+
+    with pytest.raises(TooManyTypes):
+        enumerate_terms(model, refuse)
+    with pytest.raises(TooManyTypes):
+        analytic_pi_y(model)
+
+
 def test_too_many_types_cap():
     agents = tuple((f"c{i}", 1.0 / 13) for i in range(13))
     goods = (("s", 1.0),)

@@ -14,7 +14,7 @@ from fcfs_match import matching_rates, save_model, validate, MatchingModel
 from fcfs_match._format import round12
 from fcfs_match.cli import main
 
-from conftest import make_disjoint_pairs, make_example3x3, random_stable_model
+from conftest import make_disjoint_pairs, make_example3x3, make_single_pair, random_stable_model
 from oracles import min_drain
 
 
@@ -216,6 +216,21 @@ def test_unstable_model_exits_3(tmp_path):
     model = make_example3x3(lambda_bar=1.1)
     path = _model_path(tmp_path, model)
     assert main(["rates", "--model", path]) == 3
+
+
+def test_margin_band_is_unstable_everywhere(tmp_path, capsys):
+    # positive drain rate, but a drain margin of 5e-14, below 1e-12
+    path = _model_path(tmp_path, make_single_pair(lam=1.0 - 1e-13, mu=1.0))
+    assert main(["validate", "--model", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["stable"] is False
+    assert payload["witness"] == ["c"]
+    short = ["--events", "20000"]
+    for argv in (["rates"], ["delays"], ["simulate", *short], ["verify", *short]):
+        assert main([*argv, "--model", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "drain margin below 1e-12" in captured.err
 
 
 def test_simulate_is_deterministic(tmp_path, model_file, warm_kernel):

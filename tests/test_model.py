@@ -15,10 +15,12 @@ from fcfs_match import (
     check_stability,
     compatible_agents,
     compatible_goods,
+    geometric_stage,
     load_model,
     matching_rates,
     max_stable_rho,
     min_stage_rate,
+    run,
     save_model,
     unique_users,
     validate,
@@ -26,7 +28,6 @@ from fcfs_match import (
 from fcfs_match import model as model_module
 from fcfs_match.analytic import _cached_pass
 from fcfs_match.errors import (
-    DuplicateIdentifier,
     DuplicateType,
     FrequencySumError,
     IsolatedAgentType,
@@ -56,7 +57,6 @@ def test_frequency_sum_error():
 
 
 def test_duplicate_identifier_is_one_validation_issue():
-    assert DuplicateIdentifier is DuplicateType
     assert issubclass(DuplicateType, ValidationIssue)
     with pytest.raises(ModelValidationError) as exc:
         MatchingModel(
@@ -199,6 +199,22 @@ def test_stability_boundary_counts_as_unstable():
     # lambda_C == mu_S(C) exactly: null-recurrent boundary is reported unstable
     model = make_single_pair(lam=1.0, mu=1.0)
     assert not check_stability(model).stable
+
+
+def test_stability_needs_the_drain_margin():
+    # theta = 1e-13 > 0, but the margin theta / (lambda_bar + mu_bar) is
+    # 5e-14, below STABILITY_MARGIN: unstable for the check and for every
+    # computation that needs a stable model
+    model = make_single_pair(lam=1.0 - 1e-13, mu=1.0)
+    assert 0.0 < model.subset_scan.theta[1] / model.total_rate < model_module.STABILITY_MARGIN
+    report = check_stability(model)
+    assert not report.stable
+    assert report.witness.names == ("c",)
+    for compute in (lambda: geometric_stage(model, ("c",)), lambda: min_stage_rate(model),
+                    lambda: matching_rates(model), lambda: run(model, 1_000, seed=1, burn_in=0)):
+        with pytest.raises(UnstableModel, match="drain margin below 1e-12") as caught:
+            compute()
+        assert caught.value.witness.names == ("c",)
 
 
 def test_stability_monotone_in_lambda_bar():

@@ -25,7 +25,6 @@ from fcfs_match.detailed import (
     UnmatchedList,
     detailed_state,
     exchange_transform,
-    generate_item,
     is_admissible,
     item_from_uniforms,
     rematch_reversed,
@@ -58,16 +57,6 @@ def test_item_distribution(example3x3):
     s3 = (~agents) & (type_u >= 0.6)  # beta cumulative: s3 occupies [0.6, 1)
     se3 = math.sqrt(p_s3 * (1 - p_s3) / n)
     assert abs(s3.mean() - p_s3) < 3 * se3
-
-
-def test_generate_item_consumes_kind_then_type(example3x3):
-    # one flat stream, two draws per item, in (kind, type) order
-    flat = np.random.default_rng(7).random(400)
-    rng = np.random.default_rng(7)
-    for k in range(200):
-        item = generate_item(rng, example3x3, index=k)
-        expected = item_from_uniforms(example3x3, k, flat[2 * k], flat[2 * k + 1])
-        assert (item.kind, item.type_name) == (expected.kind, expected.type_name)
 
 
 def test_item_from_uniforms_boundaries(example3x3):
