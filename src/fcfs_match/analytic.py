@@ -5,11 +5,12 @@ types, and each term is a product over prefixes of lambda_{C_l} / theta(prefix
 set), where theta(S) = mu_{S(S)} - lambda_S depends only on the set. Each sum
 therefore factors into a forward prefix weight W(S) and a backward completion
 weight F(T) over the 2^I agent sets, the set recursion of order-independent
-queues. One cached table per model holds theta, W, F and the per-pair rate and
-delay moment sums, built in O(J * I * 2^I) steps. It holds no wait sums: with
-Lambda = lambda_bar + mu_bar, a Poisson wait is the sum of its delay's count
-of Exp(Lambda) gaps, so delays.py derives every wait value from the delay law
-through Lambda. The table's theta is the list of the model's subset scan
+queues. One table per model holds theta, W, F and the per-pair rate and delay
+moment sums, built in O(J * I * 2^I) steps. The model keeps it
+(MatchingModel.subset_table), so it lives exactly as long as its model. It
+holds no wait sums: with Lambda = lambda_bar + mu_bar, a Poisson wait is the
+sum of its delay's count of Exp(Lambda) gaps, so delays.py derives every wait
+value from the delay law through Lambda. The table's theta is the list of the model's subset scan
 (MatchingModel.subset_scan), the same pass that answers the stability,
 pooling and rho* checks. The table is built only for a model that
 check_stability calls stable, so every theta is at least STABILITY_MARGIN *
@@ -23,12 +24,11 @@ is the one computation here capped at DEFAULT_TYPE_CAP agent types.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .errors import DomainError, DuplicateType, TooManyTypes, UnknownIdentifier
-from .model import MatchingModel, _stable_scan
+from .errors import TooManyTypes
+from .model import MatchingModel, _order_indices, _stable_scan
 
 # Agent types above which an e * I! walk (enumerate_terms, and
 # simulator.analytic_pi_y, which lists every order) is refused. Each added
@@ -213,17 +213,11 @@ def _first_match_sums(model: MatchingModel, w, theta, j: int, completions) -> li
         p = (p - 1) & free
 
 
-# A cached table keeps 3 lists of 2^I floats; callers reuse one model at a
-# time, so two entries keep the cache small next to the memory bound.
-@functools.lru_cache(maxsize=2)
-def _cached_pass(model: MatchingModel) -> _SubsetTable:
-    return _subset_table(model)
-
-
-def _mixture(model: MatchingModel, table: _SubsetTable, j: int, i: int, stage_factor) -> float:
+def _mixture(model: MatchingModel, j: int, i: int, stage_factor) -> float:
     """Sum over the orders in which agent i is the first type compatible with
     good j, of weight times the product of stage_factor(theta) over the
     prefixes from the match position onward."""
+    table = model.subset_table
     theta = table.theta
     size = len(theta)
     bits = [(1 << k, lam_k) for k, lam_k in enumerate(model.agent_rates)]
@@ -247,7 +241,7 @@ def _orders_above(model: MatchingModel, threshold: float) -> dict[tuple[str, ...
     B * weight(P) * F0(set of P), so once that is at most threshold the walk
     skips P and all its extensions: the result is exact, not truncated.
     """
-    table = _cached_pass(model)
+    table = model.subset_table
     b, theta, f0 = table.b, table.theta, table.f0
     names = model.agent_names
     steps = [(names[k], 1 << k, lam_k) for k, lam_k in enumerate(model.agent_rates)]
@@ -272,25 +266,17 @@ def _orders_above(model: MatchingModel, threshold: float) -> dict[tuple[str, ...
 
 def normalizing_constant(model: MatchingModel) -> float:
     """Probability of a perfect match (no agent waiting): 1 / (1 + sum of weights)."""
-    return _cached_pass(model).b
+    return model.subset_table.b
 
 
 def pi_y_perm(model: MatchingModel, order) -> float:
     """Stationary probability that the waiting agent types, in first-appearance
     order, are exactly the given sequence."""
-    names = tuple(order)
-    if not names:
-        raise DomainError("order must be a nonempty sequence of agent types")
-    if len(set(names)) != len(names):
-        raise DuplicateType(f"order {names} repeats an agent type")
-    for nm in names:
-        if nm not in model.agent_index:
-            raise UnknownIdentifier(f"unknown agent type {nm!r}")
-    table = _cached_pass(model)
+    indices = _order_indices(model, order)
+    table = model.subset_table
     mask = 0
     weight = 1.0
-    for nm in names:
-        i = model.agent_index[nm]
+    for i in indices:
         mask |= 1 << i
         weight *= model.agent_rates[i] / table.theta[mask]
     return table.b * weight
@@ -348,7 +334,7 @@ def matching_rates(model: MatchingModel) -> RateReport:
     frequency turns the sums into rates, and the lost fraction is the good's
     frequency share minus its matched rates.
     """
-    result = _cached_pass(model)
+    result = model.subset_table
     n = model.n_agent_types
     mu = model.good_rates
     mu_bar = model.mu_bar

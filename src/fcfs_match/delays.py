@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analytic import _cached_pass, _mixture, matching_rates
-from .errors import DomainError, DuplicateType, UnknownIdentifier, ZeroRate
-from .model import MatchingModel, _stable_scan
+from .analytic import _mixture, matching_rates
+from .errors import DomainError, UnknownIdentifier, ZeroRate
+from .model import MatchingModel, _order_indices, _stable_scan
 
 
 @dataclass(frozen=True)
@@ -46,12 +46,7 @@ def geometric_stage(model: MatchingModel, prefix) -> GeometricStage:
     mu_{S(C)} - lambda_C read from the subset scan: the stage depends only on
     the set of the prefix, not on its order. Raises UnstableModel unless
     check_stability calls the model stable."""
-    names = tuple(prefix)
-    if not names:
-        raise DomainError("prefix must be a nonempty sequence of agent types")
-    if len(set(names)) != len(names):
-        raise DuplicateType(f"prefix {names} repeats an agent type")
-    mask = model.agent_subset(names).mask
+    mask = sum(1 << i for i in _order_indices(model, prefix))
     return GeometricStage(_stable_scan(model).theta[mask] / model.total_rate)
 
 
@@ -100,7 +95,7 @@ class DelayReport:
 
 def delay_moments(model: MatchingModel) -> DelayReport:
     """Means and variances of per-pair and per-agent delays, in sequence positions."""
-    result = _cached_pass(model)
+    result = model.subset_table
     report = matching_rates(model)
     n = model.n_agent_types
     mu_bar = model.mu_bar
@@ -158,7 +153,7 @@ def _pair_transform(model: MatchingModel, pair, z: float) -> float:
         raise UnknownIdentifier(f"unknown pair ({g!r}, {a!r})")
     if not model.is_edge(g, a):
         raise ZeroRate(f"({g!r}, {a!r}) is not a compatibility edge; its rate is zero")
-    table = _cached_pass(model)
+    table = model.subset_table
     j, i = model.good_index[g], model.agent_index[a]
     raw = table.rate_raw[j * model.n_agent_types + i]
     if raw <= 0.0:
@@ -169,7 +164,7 @@ def _pair_transform(model: MatchingModel, pair, z: float) -> float:
         p = theta / total_rate
         return z * p / (1.0 - z * (1.0 - p))
 
-    return _mixture(model, table, j, i, factor) / raw
+    return _mixture(model, j, i, factor) / raw
 
 
 def delay_pgf(model: MatchingModel, pair, z: float) -> float:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from .analytic import matching_rates
 from .delays import delay_moments
 from .errors import DomainError, DuplicateType, UnknownIdentifier, UnstableGridPoint
-from .model import MatchingModel, max_stable_rho
+from .model import MatchingModel, check_stability, max_stable_rho
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,23 @@ def sweep(model: MatchingModel, rho_grid) -> SweepSeries:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("rho grid must be strictly increasing")
     limit = max_stable_rho(model).value
-    for rho in grid:
+    for rho in grid:  # so every grid point's lambda_bar is positive and finite
         if not 0.0 < rho < limit:
             raise UnstableGridPoint(rho, limit)
 
-    # a generator, so each grid model and its subset scan can go once its
-    # reports are built
+    def stable(rho: float) -> bool:
+        return check_stability(model.with_lambda_bar(rho * model.mu_bar)).stable
+
+    # A point in the margin band just below rho* passes the test above, so its
+    # model's verdict decides. The verdict is monotone in rho: every theta(C)
+    # falls and Lambda rises with lambda_bar, and rounding keeps that order. So
+    # the largest point answers for the grid, at the cost of one subset scan
+    # before any table is built.
+    if not stable(grid[-1]):
+        raise UnstableGridPoint(next(rho for rho in grid if not stable(rho)), limit)
+
+    # a generator, so each grid model, with its subset scan and table, can go
+    # once its reports are built
     points = (model.with_lambda_bar(rho * model.mu_bar) for rho in grid)
     results = [(matching_rates(point), delay_moments(point)) for point in points]
 

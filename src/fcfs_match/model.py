@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 from .errors import (
+    DomainError,
     DuplicateType,
     FrequencySumError,
     IsolatedAgentType,
@@ -173,6 +174,15 @@ class MatchingModel:
     def subset_scan(self) -> SubsetScan:
         """The one pass over the 2^I agent sets; every agent type has a good."""
         return _scan_subsets(self)
+
+    @functools.cached_property
+    def subset_table(self):
+        """The subset table (analytic._SubsetTable) built from subset_scan; it
+        lives as long as the model. Raises UnstableModel unless check_stability
+        calls the model stable."""
+        from .analytic import _subset_table
+
+        return _subset_table(self)
 
     @property
     def n_agent_types(self) -> int:
@@ -443,6 +453,22 @@ def _stable_scan(model: MatchingModel) -> SubsetScan:
     else:
         message = f"agent subset {witness.names} has drain margin below {STABILITY_MARGIN:g}"
     raise UnstableModel(message, witness=witness)
+
+
+def _order_indices(model: MatchingModel, order) -> list[int]:
+    """The type indices of an order of distinct agent types, as pi_y_perm and
+    geometric_stage take it. Raises DomainError when it is empty, DuplicateType
+    when a type repeats and UnknownIdentifier for an unknown type."""
+    names = tuple(order)
+    if not names:
+        raise DomainError("order must be a nonempty sequence of agent types")
+    if len(set(names)) != len(names):
+        raise DuplicateType(f"order {names} repeats an agent type")
+    index = model.agent_index
+    for name in names:
+        if name not in index:
+            raise UnknownIdentifier(f"unknown agent type {name!r}")
+    return [index[name] for name in names]
 
 
 def check_crp(model: MatchingModel) -> bool:

@@ -165,13 +165,6 @@ class SimStats:
         stderr = float(bv.std(ddof=1) / math.sqrt(int(valid.sum())))
         return Estimate(value, stderr)
 
-    def agent_delay_mean(self, agent: str) -> Estimate:
-        i = _index(self.agent_names, agent, "agent")
-        return _ratio_estimate(
-            self.delay_sums[:, :, i].sum(axis=1).astype(np.float64),
-            self.match_counts[:, :, i].sum(axis=1),
-        )
-
     @property
     def total_matches(self) -> int:
         return int(self.match_counts.sum())

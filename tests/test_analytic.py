@@ -25,7 +25,7 @@ from fcfs_match import (
     wait_moments,
 )
 from fcfs_match.analytic import _orders_above, _subset_table
-from fcfs_match.errors import DuplicateType, UnknownIdentifier
+from fcfs_match.errors import DomainError, DuplicateType, UnknownIdentifier
 
 from conftest import make_example3x3, make_single_pair, random_stable_model
 from oracles import mixture_value, walk_sums, x_chain_rates, y_chain_rates
@@ -158,6 +158,8 @@ def test_pi_y_perm_examples(example3x3, single_pair):
     assert pi_y_perm(single_pair, ("c",)) == pytest.approx(0.5, abs=1e-12)
     b = normalizing_constant(example3x3)
     assert pi_y_perm(example3x3, ("c1",)) == pytest.approx(b * 0.21 / (0.6 - 0.21), rel=1e-12)
+    with pytest.raises(DomainError):
+        pi_y_perm(example3x3, ())
     with pytest.raises(DuplicateType):
         pi_y_perm(example3x3, ("c1", "c1"))
     with pytest.raises(UnknownIdentifier):

@@ -192,6 +192,15 @@ def test_sweep_unstable_grid_point_exits_3(tmp_path, capsys):
     assert "rho=0.8" in err  # the boundary point itself is already unstable
 
 
+def test_sweep_margin_band_grid_point_exits_3(tmp_path, capsys):
+    path = _model_path(tmp_path, make_single_pair(lam=0.5, mu=1.0))
+    argv = ["sweep", "--model", path, "--rho-min", "0.5", "--rho-max", "0.9999999999999"]
+    assert main([*argv, "--steps", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grid point" in captured.err
+
+
 def test_sweep_bad_grid_arguments_exit_2(tmp_path, capsys, model_file):
     for extra, message in ((["--steps", "0"], "steps must be >= 1"),
                            (["--rho-min", "0.9", "--rho-max", "0.5"], "need 0 < rho-min")):

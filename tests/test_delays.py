@@ -17,7 +17,6 @@ from fcfs_match import (
     wait_mgf,
     wait_moments,
 )
-from fcfs_match.analytic import _cached_pass
 from fcfs_match.errors import DuplicateType, UnknownIdentifier
 
 from conftest import make_example3x3, make_single_pair, random_stable_model
@@ -59,6 +58,8 @@ def test_geometric_stage_examples(example3x3, single_pair):
 def test_geometric_stage_errors(example3x3):
     with pytest.raises(UnstableModel):
         geometric_stage(make_example3x3(lambda_bar=1.2), ("c1", "c2", "c3"))
+    with pytest.raises(DomainError):
+        geometric_stage(example3x3, ())
     with pytest.raises(DuplicateType):
         geometric_stage(example3x3, ("c1", "c1"))
     with pytest.raises(UnknownIdentifier):
@@ -193,9 +194,8 @@ def test_mgf_domain(example3x3):
 
 def test_min_stage_rate_builds_no_table():
     model = make_example3x3(lambda_bar=0.55)
-    before = _cached_pass.cache_info()
     assert min_stage_rate(model) == min_drain(model)[0]
-    assert _cached_pass.cache_info() == before
+    assert "subset_table" not in vars(model)
     with pytest.raises(UnstableModel):
         min_stage_rate(make_example3x3(lambda_bar=1.0))
 

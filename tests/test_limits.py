@@ -87,6 +87,14 @@ def test_sweep_rejects_unstable_grid_point():
     assert len(series.rho_grid) == 2
 
 
+def test_sweep_refuses_a_grid_point_in_the_margin_band():
+    # below rho* = 1, but the point's drain margin 5e-14 is under 1e-12
+    band = make_single_pair(0.5, 1.0)
+    with pytest.raises(UnstableGridPoint) as exc:
+        sweep(band, [0.5, 1 - 1e-13])
+    assert (exc.value.rho, exc.value.limit) == (1 - 1e-13, 1.0)
+
+
 def test_sweep_grid_validation(example3x3):
     with pytest.raises(DomainError):
         sweep(example3x3, [])

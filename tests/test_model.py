@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -15,18 +17,24 @@ from fcfs_match import (
     check_stability,
     compatible_agents,
     compatible_goods,
+    delay_moments,
+    delay_pgf,
     geometric_stage,
     load_model,
     matching_rates,
     max_stable_rho,
     min_stage_rate,
+    normalizing_constant,
+    pi_y_perm,
     run,
     save_model,
     unique_users,
     validate,
+    wait_mgf,
+    wait_moments,
 )
+from fcfs_match import analytic
 from fcfs_match import model as model_module
-from fcfs_match.analytic import _cached_pass
 from fcfs_match.errors import (
     DuplicateType,
     FrequencySumError,
@@ -323,7 +331,6 @@ def test_one_subset_scan_per_model(monkeypatch):
         return build(model)
 
     monkeypatch.setattr(model_module, "_scan_subsets", counting)
-    _cached_pass.cache_clear()
     model = make_example3x3(lambda_bar=0.65)
     for compute in (check_stability, check_crp, max_stable_rho, matching_rates, min_stage_rate):
         compute(model)
@@ -331,6 +338,33 @@ def test_one_subset_scan_per_model(monkeypatch):
     # a new instance, here one with another load, scans afresh
     check_stability(model.with_lambda_bar(0.6))
     assert len(builds) == 2
+
+
+def test_one_subset_table_per_model(monkeypatch):
+    builds = []
+    build = analytic._subset_table
+
+    def counting(model):
+        builds.append(model)
+        return build(model)
+
+    monkeypatch.setattr(analytic, "_subset_table", counting)
+    model = make_example3x3(lambda_bar=0.65)
+    pair = ("s1", "c1")
+    for compute in (matching_rates, delay_moments, wait_moments, normalizing_constant,
+                    lambda m: pi_y_perm(m, ("c1", "c2")), lambda m: delay_pgf(m, pair, 0.5),
+                    lambda m: wait_mgf(m, pair, 0.1)):
+        compute(model)
+    assert builds == [model]
+
+
+def test_subset_table_lives_as_long_as_its_model():
+    model = make_example3x3(lambda_bar=0.6125)  # a load no other test uses
+    matching_rates(model)
+    ref = weakref.ref(model)
+    del model
+    gc.collect()
+    assert ref() is None
 
 
 def test_model_json_round_trip(tmp_path, example3x3):

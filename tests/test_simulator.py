@@ -413,11 +413,6 @@ def test_loss_rate_unknown_good_raises(warm_kernel):
         warm_kernel.loss_rate("zz")
 
 
-def test_agent_delay_mean_unknown_agent_raises(warm_kernel):
-    with pytest.raises(UnknownIdentifier):
-        warm_kernel.agent_delay_mean("zz")
-
-
 def test_to_json_dict_shape(example3x3, warm_kernel):
     stats = run(example3x3, 30_000, seed=3, burn_in=1_000)
     payload = stats.to_json_dict()
