@@ -29,7 +29,6 @@ from .errors import (
     DuplicateType,
     FcfsMatchError,
     ModelValidationError,
-    OpenWindow,
     TooManyTypes,
     UnknownIdentifier,
     UnstableGridPoint,
@@ -94,7 +93,6 @@ __all__ = [
     "MatchingModel",
     "MaxStableRho",
     "ModelValidationError",
-    "OpenWindow",
     "PermutationTerm",
     "RateReport",
     "SimStats",

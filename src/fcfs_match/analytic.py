@@ -18,8 +18,9 @@ Lambda; the scan refuses a model whose 2^I-set lists would not fit in memory.
 No other limit applies to the table.
 
 enumerate_terms, the depth-first walk over all e * I! ordered subsets, stays
-as public API and as the independent oracle the table is tested against. It
-is the one computation here capped at DEFAULT_TYPE_CAP agent types.
+in the package as public API and as the independent oracle the table is
+tested against, and because the benchmark's traced run probes it. It is the
+one computation here capped at DEFAULT_TYPE_CAP agent types.
 """
 
 from __future__ import annotations

@@ -169,13 +169,6 @@ def cmd_verify(args) -> int:
     model = load_model(args.model)
     stats = run(model, args.events, args.seed, burn_in=args.burn_in)
     rows = compare_with_analytic(model, stats)
-    if args.corrupt:
-        rows = [
-            row._replace(analytic=row.analytic + 0.01, z=row.z - 0.01 / row.stderr)
-            if row.quantity.startswith("rate[") and row.stderr > 0
-            else row
-            for row in rows
-        ]
     lines = ["quantity,analytic,empirical,stderr,z_score"]
     for row in rows:
         lines.append(
@@ -246,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="simulate and compare against the analytic results")
     common(p, needs_rng=True)
     p.add_argument("--z-max", type=float, default=4.0)
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -71,13 +71,14 @@ class DomainError(FcfsMatchError, ValueError):
 
 
 class UnstableGridPoint(FcfsMatchError):
-    """A sweep grid point lies at or beyond the maximal stable traffic intensity."""
+    """A sweep grid point lies at or beyond the maximal stable traffic intensity.
+
+    A point below rho* but inside the model.STABILITY_MARGIN band under it is
+    refused too, so the message prints both values in full: rounded, such a
+    point would read as rho* itself.
+    """
 
     def __init__(self, rho, limit):
-        super().__init__(f"grid point rho={rho:g} is not stable (max stable rho={limit:g})")
+        super().__init__(f"grid point rho={rho!r} is not stable (max stable rho={limit!r})")
         self.rho = rho
         self.limit = limit
-
-
-class OpenWindow(FcfsMatchError):
-    """A position outside the certified region of an exchanged window was requested."""

@@ -1,9 +1,12 @@
-"""Reference matching dynamics: item-level FCFS, exchange transform, detailed states.
+"""The tests' item-level reference: FCFS one item at a time, the exchange
+transform and detailed states.
 
-This module is the slow, transparent counterpart of the batch simulator.
-It processes one item at a time, keeps full item-level provenance,
-and implements the structural checks (exchanged-window reversibility, detailed
-state construction and admissibility) used to validate the theory end to end.
+This module is the slow, transparent counterpart of the package's batch
+simulator, and it is not shipped with the package. It processes one item at a
+time, keeps full item-level provenance, and implements the structural checks
+(exchanged-window reversibility, detailed state construction and
+admissibility) that criteria 7 and 8 and the simulator tests use to validate
+the theory end to end.
 """
 
 from __future__ import annotations
@@ -13,8 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import OpenWindow
-from .model import MatchingModel
+from fcfs_match.errors import FcfsMatchError
+from fcfs_match.model import MatchingModel
 
 AGENT = "agent"
 GOOD = "good"
@@ -26,6 +29,10 @@ GOOD = "good"
 MARK_AGENT = "c"
 MARK_EX_AGENT = "c~"
 MARK_EX_GOOD = "s~"
+
+
+class OpenWindow(FcfsMatchError):
+    """A position outside the certified region of an exchanged window was requested."""
 
 
 @dataclass

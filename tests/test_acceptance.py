@@ -23,16 +23,16 @@ from fcfs_match import (
     wait_mgf,
     wait_moments,
 )
-from fcfs_match.detailed import (
+from fcfs_match.simulator import compare_with_analytic, run
+
+from conftest import make_example3x3, make_single_pair, random_stable_model
+from oracles import y_chain_rates
+from reference_dynamics import (
     DetailedTracker,
     is_admissible,
     item_from_uniforms,
     verify_reversibility,
 )
-from fcfs_match.simulator import compare_with_analytic, run
-
-from conftest import make_example3x3, make_single_pair, random_stable_model
-from oracles import y_chain_rates
 
 
 def _criterion(number: int, description: str, ok: bool, detail: str = "") -> None:

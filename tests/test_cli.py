@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -199,6 +200,7 @@ def test_sweep_margin_band_grid_point_exits_3(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "grid point" in captured.err
+    assert "rho=0.9999999999999 is not stable (max stable rho=1.0)" in captured.err
 
 
 def test_sweep_bad_grid_arguments_exit_2(tmp_path, capsys, model_file):
@@ -254,14 +256,21 @@ def test_simulate_is_deterministic(tmp_path, model_file, warm_kernel):
     assert payload["n_events"] == 30000
 
 
-def test_verify_exit_codes(tmp_path, capsys, model_file, warm_kernel):
+def test_verify_exit_codes(tmp_path, capsys, monkeypatch, model_file, warm_kernel):
     args = ["verify", "--model", str(model_file), "--events", "200000",
             "--seed", "1", "--burn-in", "10000"]
     assert main(args) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "quantity,analytic,empirical,stderr,z_score"
 
-    assert main(args + ["--corrupt"]) == 5
+    # a shifted analytic rate enters before compare_with_analytic computes z
+    def shifted(model):
+        report = matching_rates(model)
+        return dataclasses.replace(report, rates={k: v + 0.01 for k, v in report.rates.items()})
+
+    monkeypatch.setattr("fcfs_match.simulator.matching_rates", shifted)
+    assert main(args) == 5
+    assert "max |z|" in capsys.readouterr().err
 
 
 def _rare_c2_model():
@@ -291,8 +300,8 @@ def test_verify_fails_on_unestimable_row(tmp_path, capsys, warm_kernel):
 
 
 def test_verify_rejects_nan_or_nonpositive_z_max(tmp_path, capsys, model_file, warm_kernel):
-    # a NaN bound would pass every row, the corrupted ones too
-    args = ["verify", "--model", str(model_file), "--events", "20000", "--seed", "1", "--corrupt"]
+    # a NaN bound would pass every row, wrong ones too
+    args = ["verify", "--model", str(model_file), "--events", "20000", "--seed", "1"]
     for z_max in ("nan", "0", "-1"):
         assert main(args + ["--z-max", z_max]) == 2
         captured = capsys.readouterr()
@@ -325,9 +334,10 @@ def test_negative_burn_in_exits_2(capsys, model_file):
 
 
 # modules the analytic commands must not load: numpy costs most of a cold
-# start and serves only the simulator; the analytic side needs no process pool
+# start and serves only the simulator; the analytic side needs no process pool,
+# and scipy serves only the tests
 HEAVY_MODULES = ("numpy", "multiprocessing", "concurrent.futures",
-                 "fcfs_match.simulator", "fcfs_match.detailed")
+                 "fcfs_match.simulator", "scipy")
 
 
 def _run_fresh(code: str, *args: str) -> str:
@@ -352,6 +362,20 @@ def test_analytic_commands_do_not_import_simulator_or_numpy(tmp_path, model_file
     )
     assert _run_fresh(code, str(model_file), str(out)).strip() == ""
     assert out.read_text().startswith("rho,good,agent,")
+
+
+def test_simulator_commands_run_without_scipy(model_file):
+    # scipy is a test dependency only; the package must run where it is absent
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import fcfs_match.cli as cli\n"
+        "short = ['--model', sys.argv[1], '--events', '20000']\n"
+        "assert cli.main(['simulate', *short, '--out', sys.argv[2]]) == 0\n"
+        "assert cli.main(['verify', *short, '--z-max', 'inf', '--out', sys.argv[2]]) == 0\n"
+        "print('ok')\n"
+    )
+    assert _run_fresh(code, str(model_file), os.devnull).strip() == "ok"
 
 
 def test_package_names_resolve_lazily():

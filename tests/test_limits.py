@@ -93,6 +93,7 @@ def test_sweep_refuses_a_grid_point_in_the_margin_band():
     with pytest.raises(UnstableGridPoint) as exc:
         sweep(band, [0.5, 1 - 1e-13])
     assert (exc.value.rho, exc.value.limit) == (1 - 1e-13, 1.0)
+    assert "rho=0.9999999999999 is not stable (max stable rho=1.0)" in str(exc.value)
 
 
 def test_sweep_grid_validation(example3x3):

@@ -15,11 +15,18 @@ from fcfs_match import (
     matching_rates,
     normalizing_constant,
 )
-from fcfs_match.detailed import (
+from fcfs_match import _kernel
+from fcfs_match.errors import DomainError, DuplicateType, UnknownIdentifier
+from fcfs_match.simulator import _z, run
+
+from conftest import make_example3x3, random_stable_model
+from reference_dynamics import (
     AGENT,
     GOOD,
     DetailedTracker,
     Lost,
+    MatchWindow,
+    OpenWindow,
     Queued,
     SequenceItem,
     UnmatchedList,
@@ -33,11 +40,6 @@ from fcfs_match.detailed import (
     verify_reversibility,
     window_from_uniforms,
 )
-from fcfs_match import _kernel
-from fcfs_match.errors import DomainError, DuplicateType, OpenWindow, UnknownIdentifier
-from fcfs_match.simulator import _z, run
-
-from conftest import make_example3x3, random_stable_model
 
 
 # --- item generation ---
@@ -444,8 +446,6 @@ def _window_from_items(model, specs):
             lost.append(n)
         if not state.entries:
             empty.append(n + 1)
-    from fcfs_match.detailed import MatchWindow
-
     return MatchWindow(model, items, matches, lost, [i for _, i in state.entries], empty)
 
 
