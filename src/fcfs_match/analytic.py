@@ -25,7 +25,6 @@ one computation here capped at DEFAULT_TYPE_CAP agent types.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import TooManyTypes
@@ -106,8 +105,7 @@ def enumerate_terms(model: MatchingModel, visit: Callable[[PermutationTerm], Non
     return count
 
 
-@dataclass(frozen=True)
-class _SubsetTable:
+class _SubsetTable(NamedTuple):
     """Per-set weights of one model, indexed by agent bitmask, and the per-pair
     sums derived from them.
 
@@ -283,8 +281,7 @@ def pi_y_perm(model: MatchingModel, order) -> float:
     return table.b * weight
 
 
-@dataclass(frozen=True)
-class RateReport:
+class RateReport(NamedTuple):
     """Matching and loss rates plus the per-type conditional outcome fractions.
 
     rates maps each compatibility edge (good, agent) to the long-run fraction

@@ -1,12 +1,17 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 invalid model or arguments, 3 unstable model or grid
-point, 4 too many agent types (the lists over the 2^I agent sets would not fit
-in memory), 5 verification failure.
+Exit codes: 0 success, 2 invalid or unreadable model, invalid arguments or an
+unwritable --out path, 3 unstable model or grid point, 4 too many agent types
+(the lists over the 2^I agent sets would not fit in memory), 5 verification
+failure.
 
 verify writes a 5-column CSV whose quantity field is not quoted: pair
 quantities such as rate[s1,c1] hold a comma, so split each row from the right
 (4 times) to read it.
+
+Each command imports the modules it runs inside its function, so a call loads
+only those: validate loads no analytic module, rates no delay module, and only
+simulate and verify load numpy.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ import sys
 
 from . import __version__
 from ._format import fmt12, round12
-from .analytic import matching_rates
-from .delays import delay_moments, wait_moments
 from .errors import (
     DomainError,
     FcfsMatchError,
@@ -28,7 +31,6 @@ from .errors import (
     UnstableGridPoint,
     UnstableModel,
 )
-from .limits import sweep
 from .model import check_crp, check_stability, load_model, max_stable_rho
 
 EXIT_OK = 0
@@ -39,11 +41,14 @@ EXIT_VERIFY_FAILED = 5
 
 
 def _write(args, text: str) -> None:
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise FcfsMatchError(f"cannot write output: {exc}") from exc
 
 
 def _emit_json(args, payload: dict) -> None:
@@ -123,14 +128,20 @@ def _cmd_report(args, compute, table) -> int:
 
 
 def cmd_rates(args) -> int:
+    from .analytic import matching_rates
+
     return _cmd_report(args, matching_rates, _rate_table)
 
 
 def cmd_delays(args) -> int:
+    from .delays import delay_moments
+
     return _cmd_report(args, delay_moments, lambda m, r: _moment_table(m, r, "delay"))
 
 
 def cmd_waits(args) -> int:
+    from .delays import wait_moments
+
     return _cmd_report(args, wait_moments, lambda m, r: _moment_table(m, r, "wait"))
 
 
@@ -146,6 +157,8 @@ def _grid(args) -> list[float]:
 
 
 def cmd_sweep(args) -> int:
+    from .limits import sweep
+
     model = load_model(args.model)
     series = sweep(model, _grid(args))
     _write(args, series.to_csv())

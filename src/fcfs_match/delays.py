@@ -19,15 +19,14 @@ waits; each DelayReport holds one unit only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analytic import _mixture, matching_rates
 from .errors import DomainError, UnknownIdentifier, ZeroRate
 from .model import MatchingModel, _order_indices, _stable_scan
 
 
-@dataclass(frozen=True)
-class GeometricStage:
+class GeometricStage(NamedTuple):
     """One stage of a delay: success probability of draining the current prefix."""
 
     p: float
@@ -50,8 +49,7 @@ def geometric_stage(model: MatchingModel, prefix) -> GeometricStage:
     return GeometricStage(_stable_scan(model).theta[mask] / model.total_rate)
 
 
-@dataclass(frozen=True)
-class DelayReport:
+class DelayReport(NamedTuple):
     """Per-pair and per-agent-type means and variances of one quantity.
 
     Pair keys are compatibility edges (good, agent). The function that builds

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analytic import matching_rates
 from .delays import delay_moments
@@ -10,8 +10,7 @@ from .errors import DomainError, DuplicateType, UnknownIdentifier, UnstableGridP
 from .model import MatchingModel, check_stability, max_stable_rho
 
 
-@dataclass(frozen=True)
-class LightTrafficLimit:
+class LightTrafficLimit(NamedTuple):
     """Vanishing-traffic limits: each agent is served by the first compatible good.
 
     theta maps each edge (good, agent) to the limiting conditional fraction
@@ -37,8 +36,7 @@ def light_traffic_rates(model: MatchingModel) -> LightTrafficLimit:
     return LightTrafficLimit(rates=rates, theta=theta)
 
 
-@dataclass(frozen=True)
-class SweepSeries:
+class SweepSeries(NamedTuple):
     """Aligned per-grid-point series of rates and delay moments.
 
     Every grid point holds mu_bar and the type frequencies fixed and rescales
@@ -108,8 +106,7 @@ def sweep(model: MatchingModel, rho_grid) -> SweepSeries:
     return SweepSeries(grid, rates, loss, delay_mean, delay_var)
 
 
-@dataclass(frozen=True)
-class DedicatedPair:
+class DedicatedPair(NamedTuple):
     """M/M/1 baseline for one good type reserved to one agent type."""
 
     stable: bool

@@ -18,7 +18,6 @@ import json
 import math
 import numbers
 import os
-from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -32,6 +31,7 @@ from .errors import (
     TooManyTypes,
     UnknownIdentifier,
     UnstableModel,
+    ValidationIssue,
 )
 
 FREQ_TOL = 1e-12
@@ -49,15 +49,46 @@ TABLE_ARRAYS = 5
 BYTES_PER_FLOAT = 32
 
 
-@dataclass(frozen=True)
-class TypeSubset:
-    """A subset of agent types or of good types, with cached frequency/rate sums."""
+class _Record:
+    """An immutable record over the names in _fields: equality, hash and repr
+    go by those fields. Each instance keeps its fields in a __dict__, which
+    only __init__ writes, so pickle, copy and functools.cached_property work."""
 
-    side: str  # "agent" | "good"
-    names: tuple[str, ...]  # in declared model order
-    mask: int
-    freq: float  # alpha_C or beta_S
-    rate: float  # lambda_C or mu_S
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
+
+
+class TypeSubset(_Record):
+    """A subset of agent types or of good types, with cached frequency/rate sums.
+
+    side is "agent" or "good"; names are in declared model order; freq is
+    alpha_C or beta_S and rate is lambda_C or mu_S.
+    """
+
+    _fields = ("side", "names", "mask", "freq", "rate")
+
+    def __init__(self, side: str, names: tuple[str, ...], mask: int, freq: float, rate: float):
+        self.__dict__.update(side=side, names=names, mask=mask, freq=freq, rate=rate)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -94,8 +125,7 @@ class SubsetScan(NamedTuple):
     rho: MaxStableRho
 
 
-@dataclass(frozen=True)
-class MatchingModel:
+class MatchingModel(_Record):
     """Bipartite compatibility graph plus type frequencies and aggregate rates.
 
     agent_types / good_types are ordered (identifier, frequency) pairs; their
@@ -103,19 +133,21 @@ class MatchingModel:
     package. edges holds (good identifier, agent identifier) pairs.
     """
 
-    agent_types: tuple[tuple[str, float], ...]
-    good_types: tuple[tuple[str, float], ...]
-    edges: frozenset[tuple[str, str]]
-    lambda_bar: float
-    mu_bar: float
+    _fields = ("agent_types", "good_types", "edges", "lambda_bar", "mu_bar")
 
-    def __post_init__(self):
+    def __init__(self, agent_types: Iterable[tuple[str, float]],
+                 good_types: Iterable[tuple[str, float]],
+                 edges: Iterable[tuple[str, str]], lambda_bar: float, mu_bar: float):
         def freq(x):  # validate reports anything else
             return float(x) if _is_number(x) else x
 
-        object.__setattr__(self, "agent_types", tuple((str(n), freq(a)) for n, a in self.agent_types))
-        object.__setattr__(self, "good_types", tuple((str(n), freq(b)) for n, b in self.good_types))
-        object.__setattr__(self, "edges", frozenset((str(g), str(a)) for g, a in self.edges))
+        self.__dict__.update(
+            agent_types=tuple((str(n), freq(a)) for n, a in agent_types),
+            good_types=tuple((str(n), freq(b)) for n, b in good_types),
+            edges=frozenset((str(g), str(a)) for g, a in edges),
+            lambda_bar=lambda_bar,
+            mu_bar=mu_bar,
+        )
         validate(self)
 
     # --- cached derived views (every name in edges is a declared type) ---
@@ -204,7 +236,7 @@ class MatchingModel:
         return (good, agent) in self.edges
 
     def with_lambda_bar(self, lambda_bar: float) -> "MatchingModel":
-        return replace(self, lambda_bar=lambda_bar)
+        return type(self)(self.agent_types, self.good_types, self.edges, lambda_bar, self.mu_bar)
 
     # --- subset constructors ---
 
@@ -266,12 +298,17 @@ class MatchingModel:
 
 
 def load_model(path) -> MatchingModel:
-    """Read a model JSON file; the model validates itself when it is built."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ModelValidationError([UnknownIdentifier(f"invalid JSON: {exc}")]) from exc
+    """Read a model JSON file; the model validates itself when it is built. A
+    file that cannot be opened or is not UTF-8 text is an invalid model too."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelValidationError([ValidationIssue(f"cannot read model file: {exc}")]) from exc
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ModelValidationError([UnknownIdentifier(f"invalid JSON: {exc}")]) from exc
     return MatchingModel.from_json_dict(data)
 
 

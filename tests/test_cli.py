@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -42,6 +41,41 @@ def test_validate_malformed_json_exits_2(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["valid"] is False
     assert payload["errors"]
+
+
+COMMANDS = ("validate", "rates", "delays", "waits", "sweep", "simulate", "verify")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_unreadable_model_file_exits_2(tmp_path, capsys, command):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"agents": [{"name": "\xe9"}]}')
+    for path, reason in ((tmp_path / "missing.json", "No such file"),
+                         (latin, "can't decode byte 0xe9")):
+        assert main([command, "--model", str(path)]) == 2
+        captured = capsys.readouterr()
+        if command == "validate":
+            assert captured.err == ""
+            payload = json.loads(captured.out)
+            assert payload["valid"] is False
+            [error] = payload["errors"]
+        else:
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1
+            assert captured.err.startswith("invalid model: ")
+            error = captured.err[len("invalid model: "):]
+        assert error.startswith("cannot read model file: ") and reason in error
+
+
+@pytest.mark.parametrize("command", ["validate", "rates"])
+def test_unwritable_out_path_exits_2(tmp_path, capsys, model_file, command):
+    out = tmp_path / "no_such_dir" / "out.txt"
+    assert main([command, "--model", str(model_file), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write output: ")
+    assert "No such file or directory" in captured.err and captured.err.count("\n") == 1
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize("field", ["lambda_bar", "mu_bar"])
@@ -266,7 +300,7 @@ def test_verify_exit_codes(tmp_path, capsys, monkeypatch, model_file, warm_kerne
     # a shifted analytic rate enters before compare_with_analytic computes z
     def shifted(model):
         report = matching_rates(model)
-        return dataclasses.replace(report, rates={k: v + 0.01 for k, v in report.rates.items()})
+        return report._replace(rates={k: v + 0.01 for k, v in report.rates.items()})
 
     monkeypatch.setattr("fcfs_match.simulator.matching_rates", shifted)
     assert main(args) == 5
@@ -335,9 +369,18 @@ def test_negative_burn_in_exits_2(capsys, model_file):
 
 # modules the analytic commands must not load: numpy costs most of a cold
 # start and serves only the simulator; the analytic side needs no process pool,
-# and scipy serves only the tests
+# scipy serves only the tests, and dataclasses pulls in inspect, about 12 ms of
+# start-up
 HEAVY_MODULES = ("numpy", "multiprocessing", "concurrent.futures",
-                 "fcfs_match.simulator", "scipy")
+                 "fcfs_match.simulator", "scipy", "dataclasses")
+# and the package modules each command runs without
+UNUSED_MODULES = {
+    "validate": ("fcfs_match.analytic", "fcfs_match.delays", "fcfs_match.limits"),
+    "rates": ("fcfs_match.delays", "fcfs_match.limits"),
+    "delays": ("fcfs_match.limits",),
+    "waits": ("fcfs_match.limits",),
+    "sweep": (),
+}
 
 
 def _run_fresh(code: str, *args: str) -> str:
@@ -352,15 +395,17 @@ def _run_fresh(code: str, *args: str) -> str:
 
 
 def test_analytic_commands_do_not_import_simulator_or_numpy(tmp_path, model_file):
+    # each command in its own interpreter, so the check sees that command's imports only
     out = tmp_path / "out.txt"
     code = (
         "import sys\n"
         "import fcfs_match.cli as cli\n"
-        "for command in ('validate', 'rates', 'delays', 'waits', 'sweep'):\n"
-        "    assert cli.main([command, '--model', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
-        f"print(','.join(m for m in {HEAVY_MODULES!r} if m in sys.modules))\n"
+        "assert cli.main([sys.argv[1], '--model', sys.argv[2], '--out', sys.argv[3]]) == 0\n"
+        "print(','.join(m for m in sys.argv[4:] if m in sys.modules))\n"
     )
-    assert _run_fresh(code, str(model_file), str(out)).strip() == ""
+    for command, unused in UNUSED_MODULES.items():
+        loaded = _run_fresh(code, command, str(model_file), str(out), *HEAVY_MODULES, *unused)
+        assert loaded.strip() == "", command
     assert out.read_text().startswith("rho,good,agent,")
 
 
@@ -382,7 +427,8 @@ def test_package_names_resolve_lazily():
     code = (
         "import sys\n"
         "import fcfs_match\n"
-        "assert 'fcfs_match.simulator' not in sys.modules\n"
+        "loaded = [m for m in sys.modules if m.startswith('fcfs_match.')]\n"
+        "assert not loaded, loaded\n"
         "listed = dir(fcfs_match)\n"
         "missing = [n for n in fcfs_match.__all__ if n not in listed]\n"
         "assert not missing, missing\n"

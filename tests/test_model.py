@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import gc
 import json
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -28,6 +30,7 @@ from fcfs_match import (
     pi_y_perm,
     run,
     save_model,
+    sweep,
     unique_users,
     validate,
     wait_mgf,
@@ -387,3 +390,73 @@ def test_load_model_rejects_missing_keys(tmp_path):
     path.write_text(json.dumps({"agents": []}), encoding="utf-8")
     with pytest.raises(ModelValidationError):
         load_model(path)
+
+
+def test_load_model_rejects_unreadable_files(tmp_path):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"agents": "\xe9"}')
+    for path in (tmp_path / "missing.json", tmp_path, latin):
+        with pytest.raises(ModelValidationError, match="^cannot read model file: "):
+            load_model(path)
+
+
+FIELDS = dict(agent_types=(("c", 1.0),), good_types=(("s", 1.0),),
+              edges=frozenset({("s", "c")}), lambda_bar=0.5, mu_bar=1.0)
+
+
+def test_model_is_an_immutable_record():
+    model = MatchingModel(**FIELDS)
+    assert model.agent_types == (("c", 1.0),) and model.mu_bar == 1.0
+    for field in FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(model, field, None)
+        with pytest.raises(AttributeError):
+            delattr(model, field)
+    with pytest.raises(AttributeError):
+        model.other = 1
+    assert model.lambda_bar == 0.5
+    assert repr(model) == (
+        "MatchingModel(agent_types=(('c', 1.0),), good_types=(('s', 1.0),), "
+        "edges=frozenset({('s', 'c')}), lambda_bar=0.5, mu_bar=1.0)")
+
+
+def test_model_equality_and_hash_go_by_the_five_fields():
+    model = MatchingModel(**FIELDS)
+    model.subset_scan  # a cached view is not a field
+    twin = MatchingModel(*FIELDS.values())
+    assert twin == model and hash(twin) == hash(model)
+    assert model.with_lambda_bar(0.5) == model
+    assert MatchingModel(**{**FIELDS, "agent_types": [("c", 1)]}) == model  # fields are normalised
+    for field, other in (("lambda_bar", 0.25), ("mu_bar", 2.0)):
+        assert MatchingModel(**{**FIELDS, field: other}) != model
+    renamed = MatchingModel(**{**FIELDS, "good_types": (("t", 1.0),), "edges": {("t", "c")}})
+    assert renamed != model
+    assert model != FIELDS and model != tuple(FIELDS.values())
+    assert len({model, twin, model.with_lambda_bar(0.25)}) == 2
+
+
+def test_type_subset_is_a_record_over_its_names(example3x3):
+    sub = example3x3.agent_subset(["c3", "c1"])
+    assert len(sub) == 2
+    assert list(sub) == ["c1", "c3"] and tuple(sub) == sub.names
+    assert "c1" in sub and "c2" not in sub
+    assert sub == example3x3.subset_from_mask("agent", sub.mask)
+    assert hash(sub) == hash(example3x3.subset_from_mask("agent", sub.mask))
+    assert sub != example3x3.good_subset(["s1"])
+    with pytest.raises(AttributeError):
+        sub.mask = 0
+    assert repr(sub) == (
+        f"TypeSubset(side='agent', names=('c1', 'c3'), mask=5, freq={sub.freq!r}, rate={sub.rate!r})")
+
+
+def test_records_survive_pickle_and_copy(example3x3):
+    records = [example3x3, example3x3.agent_subset(["c2"]), matching_rates(example3x3),
+               delay_moments(example3x3), sweep(example3x3, [0.3, 0.6])]
+    for record in records:
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record)):
+            assert type(twin) is type(record)
+            assert twin == record
+    twin = pickle.loads(pickle.dumps(example3x3))
+    assert matching_rates(twin) == matching_rates(example3x3)
+    with pytest.raises(AttributeError):
+        twin.mu_bar = 2.0
