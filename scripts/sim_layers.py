@@ -42,7 +42,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(Path(args.src).resolve()))
-    import numpy as np
     from fcfs_match import _kernel, simulator
     from fcfs_match.model import load_model
 
@@ -99,9 +98,7 @@ def main(argv: list[str] | None = None) -> int:
             "ru_maxrss": round(max_rss_mb, 2),
         },
         "occupancy_keys": len(stats.order_rows),
-        # trees before the sparse entries kept a dense (orders + 1, batches) table
-        "occupancy_entries": (len(stats.entry_counts) if hasattr(stats, "entry_counts")
-                              else int(np.count_nonzero(stats.occupancy_table))),
+        "occupancy_entries": len(stats.entry_counts),
         "verify_rows": n_rows,
     }
     for phase in ("cold", "warm_median", "memory_mb"):

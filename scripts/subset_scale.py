@@ -12,8 +12,7 @@ at least one edge per agent type, rho = 0.8 * max_stable_rho, seeded by I and
 model. Each probe then runs --repeats times, each time in a new interpreter
 that loads the model and makes one cold call:
 
-    scan            the per-set pass: model._scan_subsets, or in a tree
-                    without it model._subset_sums
+    scan            the per-set pass, model._scan_subsets
     checks          check_stability, check_crp and max_stable_rho
     table           analytic._subset_table
     min_stage_rate  delays.min_stage_rate
@@ -93,7 +92,7 @@ def probe(src: str, name: str, model_path: str) -> dict:
 
     model = model_mod.load_model(model_path)
     calls = {
-        "scan": [getattr(model_mod, "_scan_subsets", None) or model_mod._subset_sums],
+        "scan": [model_mod._scan_subsets],
         "checks": [model_mod.check_stability, model_mod.check_crp, model_mod.max_stable_rho],
         "table": [analytic._subset_table],
         "min_stage_rate": [delays.min_stage_rate],

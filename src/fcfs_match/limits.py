@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .analytic import matching_rates
@@ -71,21 +72,20 @@ def sweep(model: MatchingModel, rho_grid) -> SweepSeries:
         raise DomainError("rho grid must be nonempty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise DomainError("rho grid must be strictly increasing")
-    limit = max_stable_rho(model).value
-    for rho in grid:  # so every grid point's lambda_bar is positive and finite
-        if not 0.0 < rho < limit:
-            raise UnstableGridPoint(rho, limit)
+    for rho in grid:  # each point's lambda_bar must be positive and finite; NaN fails
+        if not 0.0 < rho * model.mu_bar < math.inf:
+            raise DomainError(f"grid point rho={rho!r} does not give a positive finite lambda_bar")
 
     def stable(rho: float) -> bool:
         return check_stability(model.with_lambda_bar(rho * model.mu_bar)).stable
 
-    # A point in the margin band just below rho* passes the test above, so its
-    # model's verdict decides. The verdict is monotone in rho: every theta(C)
-    # falls and Lambda rises with lambda_bar, and rounding keeps that order. So
-    # the largest point answers for the grid, at the cost of one subset scan
-    # before any table is built.
+    # The verdict is monotone in rho: every theta(C) falls and Lambda rises
+    # with lambda_bar, and rounding keeps that order. So the largest point
+    # answers for the grid, at the cost of one subset scan before any table is
+    # built; rho* is needed only for the refusal's message.
     if not stable(grid[-1]):
-        raise UnstableGridPoint(next(rho for rho in grid if not stable(rho)), limit)
+        raise UnstableGridPoint(next(rho for rho in grid if not stable(rho)),
+                                max_stable_rho(model).value)
 
     # a generator, so each grid model, with its subset scan and table, can go
     # once its reports are built

@@ -307,7 +307,7 @@ def load_model(path) -> MatchingModel:
         raise ModelValidationError([ValidationIssue(f"cannot read model file: {exc}")]) from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
         raise ModelValidationError([UnknownIdentifier(f"invalid JSON: {exc}")]) from exc
     return MatchingModel.from_json_dict(data)
 
@@ -322,8 +322,15 @@ def save_model(model: MatchingModel, path) -> None:
 
 
 def _is_number(x) -> bool:
-    """A real number: a bool or a numeric string is not one."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+    """A real number that a float can hold: a bool, a numeric string or an
+    integer beyond float range is not one."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
 
 
 def validate(model: MatchingModel) -> MatchingModel:

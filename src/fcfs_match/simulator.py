@@ -4,7 +4,7 @@ run() drives the simulation kernel over a seeded uniform stream and returns raw
 per-batch counters; every estimate (matching rates, loss rates, empty-state
 probability, delay moments, waiting-list-order occupancies) carries a
 batch-means standard error. compare_with_analytic() lines the estimates up
-against the enumeration results as z-scores.
+against the subset table's results as z-scores.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ import numpy as np
 from . import _kernel
 from .analytic import _check_cap, _orders_above, matching_rates, normalizing_constant
 from .delays import delay_moments
-from .errors import DomainError, DuplicateType, UnknownIdentifier
-from .model import MatchingModel, _stable_scan
+from .errors import DomainError, UnknownIdentifier
+from .model import MatchingModel, _order_indices, _stable_scan
 
-DEFAULT_BATCHES = 50
+BATCHES = 50  # every run splits its post-burn-in events into this many batches
+PI_Y_THRESHOLD = 1e-4  # verify checks the waiting orders more probable than this
 MIN_BURN_IN = 10_000
 OCCUPANCY_TYPE_LIMIT = 12  # orders of more types are too many to tally
 PI_Y_ROW_BLOCK = 128  # pi_y rows per numpy pass: bounds the temporary arrays
@@ -47,18 +48,11 @@ def _ratio_estimate(num: np.ndarray, den: np.ndarray) -> Estimate:
     return Estimate(value, stderr)
 
 
-def _index(names: tuple[str, ...], name: str, side: str) -> int:
-    if name not in names:
-        raise UnknownIdentifier(f"unknown {side} type {name!r}")
-    return names.index(name)
-
-
 @dataclass
 class SimStats:
-    """Raw per-batch counters of one simulation run."""
+    """Raw per-batch counters of one simulation run of model."""
 
-    agent_names: tuple[str, ...]
-    good_names: tuple[str, ...]
+    model: MatchingModel
     seeds: tuple[int, ...]
     n_events: int
     burn_in: int
@@ -78,19 +72,27 @@ class SimStats:
     total_agents: int
     total_goods: int
     final_unmatched: int
-    tracks_occupancy: bool
+
+    @property
+    def tracks_occupancy(self) -> bool:
+        return self.model.n_agent_types <= OCCUPANCY_TYPE_LIMIT
 
     # --- estimates ---
 
+    def _good(self, good: str) -> int:
+        if good not in self.model.good_index:
+            raise UnknownIdentifier(f"unknown good type {good!r}")
+        return self.model.good_index[good]
+
     def _pair(self, good: str, agent: str) -> tuple[int, int]:
-        return _index(self.good_names, good, "good"), _index(self.agent_names, agent, "agent")
+        return self._good(good), *_order_indices(self.model, [agent])
 
     def rate(self, good: str, agent: str) -> Estimate:
         j, i = self._pair(good, agent)
         return _ratio_estimate(self.match_counts[:, j, i], self.goods_counts)
 
     def loss_rate(self, good: str) -> Estimate:
-        j = _index(self.good_names, good, "good")
+        j = self._good(good)
         return _ratio_estimate(self.loss_counts[:, j], self.goods_counts)
 
     def b_hat(self) -> Estimate:
@@ -100,10 +102,8 @@ class SimStats:
         if not self.tracks_occupancy:
             raise DomainError("waiting-order occupancy was not tracked for this run")
         names = tuple(order)
-        if len(set(names)) != len(names):
-            raise DuplicateType(f"order {names} repeats an agent type")
-        for nm in names:
-            _index(self.agent_names, nm, "agent")  # raises on an unknown type
+        if names:  # the empty order is B
+            _order_indices(self.model, names)
         values, stderrs = self._pi_y_rows([names])
         return Estimate(float(values[0]), float(stderrs[0]))
 
@@ -126,7 +126,7 @@ class SimStats:
         order does not depend on the other orders asked. Only the asked
         orders get dense rows.
         """
-        agent_index = {nm: i for i, nm in enumerate(self.agent_names)}
+        agent_index = self.model.agent_index
         rows = [self.order_rows.get(tuple(map(agent_index.__getitem__, o)), -1) for o in orders]
         counts = self._dense_rows(np.array(rows, dtype=np.int64))
         values = counts.sum(axis=1) / self.events_counts.sum()
@@ -139,7 +139,7 @@ class SimStats:
     @functools.cached_property
     def occupancy(self) -> dict[tuple[str, ...], np.ndarray]:
         """Order of agent names -> (batches,) int64 counts, in order of first appearance."""
-        names = self.agent_names
+        names = self.model.agent_names
         table = self._dense_rows(np.arange(len(self.order_rows)))
         return {tuple(map(names.__getitem__, key)): row for key, row in zip(self.order_rows, table)}
 
@@ -187,8 +187,8 @@ class SimStats:
 
         rates = {}
         delays = {}
-        for j, g in enumerate(self.good_names):
-            for i, a in enumerate(self.agent_names):
+        for j, g in enumerate(self.model.good_names):
+            for i, a in enumerate(self.model.agent_names):
                 if self.match_counts[:, j, i].sum() > 0:
                     rates[f"{g},{a}"] = est(self.rate(g, a))
                     delays[f"{g},{a}"] = {
@@ -206,7 +206,7 @@ class SimStats:
             "events_post_burn_in": self.events_post_burn_in,
             "empty_state": est(self.b_hat()) if self.tracks_occupancy else None,
             "rates": rates,
-            "loss": {g: est(self.loss_rate(g)) for g in self.good_names},
+            "loss": {g: est(self.loss_rate(g)) for g in self.model.good_names},
             "delays": delays,
             "occupancy": {
                 ">".join(key): [int(v) for v in arr] for key, arr in sorted(self.occupancy.items())
@@ -214,36 +214,29 @@ class SimStats:
         }
 
 
-def default_burn_in(n_events: int) -> int:
-    """One percent of the run, at least 10^4, but always below the run length."""
-    burn = max(MIN_BURN_IN, n_events // 100)
-    if burn >= n_events:
-        burn = n_events // 10
-    return burn
-
-
 def run(
     model: MatchingModel,
     n_events: int,
     seed: int,
     burn_in: int | None = None,
-    n_batches: int = DEFAULT_BATCHES,
 ) -> SimStats:
     """Simulate n_events items from the empty state and tally outcomes.
 
-    Statistics ignore the first burn_in events. The uniform stream is numpy's
-    default generator read as rng.random((2, m)) per chunk of m = _kernel.CHUNK
-    items (the last chunk shorter): a row of kind uniforms, then a row of type
-    uniforms, so identical arguments give bit-identical stats. The rows are
-    drawn a slice at a time, never a whole chunk.
+    Statistics ignore the first burn_in events and split the rest into BATCHES
+    batches. The uniform stream is numpy's default generator read as
+    rng.random((2, m)) per chunk of m = _kernel.CHUNK items (the last chunk
+    shorter): a row of kind uniforms, then a row of type uniforms, so identical
+    arguments give bit-identical stats. The rows are drawn a slice at a time,
+    never a whole chunk.
     """
     _stable_scan(model)  # refuses an unstable model
-    if burn_in is None:
-        burn_in = default_burn_in(n_events)
+    if burn_in is None:  # one percent of the run, at least 10^4, but below the run length
+        burn_in = max(MIN_BURN_IN, n_events // 100)
+        if burn_in >= n_events:
+            burn_in = n_events // 10
     if not 0 <= burn_in < n_events:
         raise DomainError(f"need 0 <= burn_in < n_events, got {burn_in} / {n_events}")
-    if n_batches < 2:
-        raise DomainError(f"n_batches must be at least 2, got {n_batches}")
+    n_batches = BATCHES
     if n_events - burn_in < n_batches:
         raise DomainError("need at least one post-burn-in event per batch")
     if seed < 0:
@@ -251,7 +244,7 @@ def run(
 
     n_agent = model.n_agent_types
     n_good = model.n_good_types
-    track = n_agent <= OCCUPANCY_TYPE_LIMIT
+    track = n_agent <= OCCUPANCY_TYPE_LIMIT  # as SimStats.tracks_occupancy
     # an item of kind uniform u_kind and type uniform u_type is agent type
     # bisect_right(alpha_cum[:-1], u_type) if u_kind < p_agent, else good type
     # bisect_right(beta_cum[:-1], u_type); searchsorted side="right" is the same
@@ -321,8 +314,7 @@ def run(
             batch_entries.append(len(tally.occupancy))
 
     return SimStats(
-        agent_names=model.agent_names,
-        good_names=model.good_names,
+        model=model,
         seeds=(seed,),
         n_events=n_events,
         burn_in=burn_in,
@@ -340,7 +332,6 @@ def run(
         total_agents=total_agents,
         total_goods=n_events - total_agents,
         final_unmatched=sum(len(q) for q in queues),
-        tracks_occupancy=track,
     )
 
 
@@ -370,18 +361,16 @@ def analytic_pi_y(model: MatchingModel) -> dict[tuple[str, ...], float]:
     return {(): normalizing_constant(model), **_orders_above(model, 0.0)}
 
 
-def compare_with_analytic(
-    model: MatchingModel,
-    stats: SimStats,
-    *,
-    pi_y_threshold: float = 1e-4,
-) -> list[VerifyRow]:
+def compare_with_analytic(model: MatchingModel, stats: SimStats) -> list[VerifyRow]:
     """Side-by-side rows (quantity, analytic, empirical, stderr, z) for every
     analytically computed quantity the simulator estimates.
 
     The empty state appears once, as B. Waiting orders appear when their
-    stationary probability exceeds pi_y_threshold.
+    stationary probability exceeds PI_Y_THRESHOLD. Raises DomainError unless
+    stats is a run of model.
     """
+    if stats.model != model:
+        raise DomainError("stats are from a run of a different model")
     report = matching_rates(model)
     delays = delay_moments(model)
     rows: list[VerifyRow] = []
@@ -402,7 +391,7 @@ def compare_with_analytic(
         e = stats.delay_var(g, a)
         rows.append(VerifyRow(f"delay_var[{g},{a}]", v, e.value, e.stderr, _z(v, e)))
     if stats.tracks_occupancy:
-        above = sorted(_orders_above(model, pi_y_threshold).items())
+        above = sorted(_orders_above(model, PI_Y_THRESHOLD).items())
         values, stderrs = stats._pi_y_rows([order for order, _ in above])
         for (order, prob), e in zip(above, map(Estimate, values.tolist(), stderrs.tolist())):
             rows.append(VerifyRow(f"pi_y[{'>'.join(order)}]", prob, e.value, e.stderr, _z(prob, e)))

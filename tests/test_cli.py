@@ -67,6 +67,26 @@ def test_unreadable_model_file_exits_2(tmp_path, capsys, command):
         assert error.startswith("cannot read model file: ") and reason in error
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_number_beyond_float_range_exits_2(tmp_path, capsys, model_file, command):
+    # 10**400 is a JSON integer no float can hold, so the model lists it as
+    # not a number; 10**5000 has more digits than Python converts
+    text = json.dumps(json.loads(model_file.read_text()))
+    path = tmp_path / "big.json"
+    for field, key in (('"lambda_bar": 0.7', "lambda_bar"), ('"mu_bar": 1.0', "mu_bar"),
+                       ('"alpha": 0.3', "'c1' has frequency"), ('"beta": 0.3', "'s1' has frequency")):
+        name = field.split(":")[0]
+        path.write_text(text.replace(field, f"{name}: {10**400}", 1))
+        assert main([command, "--model", str(path)]) == 2
+        captured = capsys.readouterr()
+        errors = json.loads(captured.out)["errors"] if command == "validate" else [captured.err]
+        assert any(key in e and "not a number" in e for e in errors), errors
+    path.write_text(text.replace('"mu_bar": 1.0', '"mu_bar": 1' + "0" * 5000))
+    assert main([command, "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "integer string conversion" in captured.out + captured.err
+
+
 @pytest.mark.parametrize("command", ["validate", "rates"])
 def test_unwritable_out_path_exits_2(tmp_path, capsys, model_file, command):
     out = tmp_path / "no_such_dir" / "out.txt"

@@ -103,6 +103,14 @@ def test_sweep_grid_validation(example3x3):
         sweep(example3x3, [0.5, 0.5])
 
 
+@pytest.mark.parametrize("grid", [[0.0, 0.5], [-0.1, 0.5], [math.nan], [0.5, math.inf], [0.5, 1e308]])
+def test_sweep_refuses_a_point_without_a_positive_finite_lambda_bar(grid):
+    # a DomainError, not an unstable point: rho = 0 is stable, but no model
+    model = make_single_pair(0.5, 2.0)  # lambda_bar = rho * 2 overflows at 1e308
+    with pytest.raises(DomainError, match="positive finite lambda_bar"):
+        sweep(model, grid)
+
+
 def test_sweep_csv_shape(example3x3):
     series = sweep(example3x3, [0.3, 0.7])
     lines = series.to_csv().strip().splitlines()

@@ -15,7 +15,7 @@ from fcfs_match import (
     matching_rates,
     normalizing_constant,
 )
-from fcfs_match import _kernel
+from fcfs_match import _kernel, simulator
 from fcfs_match.errors import DomainError, DuplicateType, UnknownIdentifier
 from fcfs_match.simulator import _z, run
 
@@ -128,16 +128,16 @@ def test_run_parameter_validation(example3x3):
         run(example3x3, 1_000, seed=1, burn_in=1_000)
     with pytest.raises(DomainError):
         run(example3x3, 1_000, seed=1, burn_in=990)  # fewer events than batches
-    with pytest.raises(DomainError):
-        run(example3x3, 1_000, seed=1, burn_in=0, n_batches=1)
     with pytest.raises(DomainError, match="seed must be non-negative"):
         run(example3x3, 1_000, seed=-1, burn_in=0)
 
 
-def test_batch_count_has_no_upper_bound(example3x3, warm_kernel):
+def test_batch_count_has_no_upper_bound(example3x3, warm_kernel, monkeypatch):
     # batching only splits the tallies: more batches change no total
-    few = run(example3x3, 50_000, seed=3, burn_in=1_000, n_batches=50)
-    many = run(example3x3, 50_000, seed=3, burn_in=1_000, n_batches=200)
+    monkeypatch.setattr(simulator, "BATCHES", 50)
+    few = run(example3x3, 50_000, seed=3, burn_in=1_000)
+    monkeypatch.setattr(simulator, "BATCHES", 200)
+    many = run(example3x3, 50_000, seed=3, burn_in=1_000)
     assert many.n_batches == 200
     for field in ("match_counts", "loss_counts", "delay_sums", "delay_sqs",
                   "goods_counts", "events_counts"):
@@ -274,7 +274,7 @@ def _random_multi_type_model():
 
 
 @pytest.mark.parametrize("which", ["example3x3", "random"])
-def test_occupancy_tally_matches_reference_orders(example3x3, which):
+def test_occupancy_tally_matches_reference_orders(example3x3, which, monkeypatch):
     model = example3x3 if which == "example3x3" else _random_multi_type_model()
     n, seed, n_batches = 20_000, 23, 50
     orders, events, _ = _reference_orders(model, n, seed)
@@ -285,14 +285,16 @@ def test_occupancy_tally_matches_reference_orders(example3x3, which):
     assert reorders > 0
 
     # one event per batch: the order after each of the last 63 events
-    tail = run(model, n, seed=seed, burn_in=n - 63, n_batches=63)
+    monkeypatch.setattr(simulator, "BATCHES", 63)
+    tail = run(model, n, seed=seed, burn_in=n - 63)
     for b in range(63):
         seen = {key: int(arr[b]) for key, arr in tail.occupancy.items() if arr[b]}
         assert seen == {orders[n - 63 + b]: 1}
 
     # every event of a run from the empty state, tallied per batch, and the
     # squared delays, summed in event order per batch and pair
-    stats = run(model, n, seed=seed, burn_in=0, n_batches=n_batches)
+    monkeypatch.setattr(simulator, "BATCHES", n_batches)
+    stats = run(model, n, seed=seed, burn_in=0)
     counters, occupancy = _reference_counters(model, orders, events, 0, n_batches)
     assert stats.occupancy.keys() == occupancy.keys()
     for key, counts in occupancy.items():
@@ -310,7 +312,8 @@ def test_stream_crosses_chunk_ends(example3x3, which, monkeypatch):
     counters, occupancy = _reference_counters(model, orders, events, burn_in, n_batches)
     monkeypatch.setattr(_kernel, "CHUNK", 1_000)
     monkeypatch.setattr(_kernel, "SLICE", 97)
-    stats = run(model, n, seed=seed, burn_in=burn_in, n_batches=n_batches)
+    monkeypatch.setattr(simulator, "BATCHES", n_batches)
+    stats = run(model, n, seed=seed, burn_in=burn_in)
     for field, expected in counters.items():
         assert np.array_equal(getattr(stats, field), expected), field
     assert stats.final_unmatched == waiting
@@ -338,9 +341,10 @@ def test_run_memory_is_slices_and_entries(example3x3, warm_kernel):
 
 
 @pytest.mark.parametrize("n_batches", [2, 63])
-def test_occupancy_entries_are_the_nonzero_cells(example3x3, warm_kernel, n_batches):
+def test_occupancy_entries_are_the_nonzero_cells(example3x3, warm_kernel, n_batches, monkeypatch):
+    monkeypatch.setattr(simulator, "BATCHES", n_batches)
     for model in (example3x3, _random_multi_type_model()):
-        stats = run(model, 20_000, seed=5, burn_in=1_000, n_batches=n_batches)
+        stats = run(model, 20_000, seed=5, burn_in=1_000)
         dense = np.array(list(stats.occupancy.values()))
         for field in ("entry_rows", "entry_batches", "entry_counts"):
             assert getattr(stats, field).dtype == np.int64
@@ -360,13 +364,15 @@ def test_pi_y_rejects_unknown_and_repeated_types(warm_kernel):
 
 
 @pytest.mark.parametrize("n_batches", [2, 50, 63])
-def test_pi_y_rows_equal_single_order_estimates(example3x3, warm_kernel, n_batches):
+def test_pi_y_rows_equal_single_order_estimates(example3x3, warm_kernel, n_batches, monkeypatch):
     # compare_with_analytic estimates all pi_y rows as one array; each row must
     # equal, bit for bit, the one-order estimate and its z-score
+    monkeypatch.setattr(simulator, "BATCHES", n_batches)
+    monkeypatch.setattr(simulator, "PI_Y_THRESHOLD", 1e-7)
     never_seen = 0
     for model in (example3x3, _random_multi_type_model()):
-        stats = run(model, 20_000, seed=5, burn_in=1_000, n_batches=n_batches)
-        rows = compare_with_analytic(model, stats, pi_y_threshold=1e-7)
+        stats = run(model, 20_000, seed=5, burn_in=1_000)
+        rows = compare_with_analytic(model, stats)
         pi_rows = [r for r in rows if r.quantity.startswith("pi_y[")]
         assert len(pi_rows) > 10
         for row in pi_rows:
@@ -380,19 +386,41 @@ def test_pi_y_rows_equal_single_order_estimates(example3x3, warm_kernel, n_batch
     assert never_seen > 0
 
 
-def test_untracked_occupancy_for_many_types():
-    from fcfs_match.errors import DomainError
-
+def _fourteen_agent_types() -> MatchingModel:
     agents = tuple((f"c{i}", 1.0 / 14) for i in range(14))
     goods = (("s", 1.0),)
     edges = frozenset(("s", f"c{i}") for i in range(14))
-    model = MatchingModel(agents, goods, edges, 0.4, 1.0)
+    return MatchingModel(agents, goods, edges, 0.4, 1.0)
+
+
+def test_untracked_occupancy_for_many_types():
+    model = _fourteen_agent_types()
     stats = run(model, 5_000, seed=1, burn_in=100)
     assert not stats.tracks_occupancy
     with pytest.raises(DomainError):
         stats.b_hat()
     est = stats.rate("s", "c0")
     assert est.value > 0
+
+
+def test_compare_with_analytic_without_occupancy():
+    # above OCCUPANCY_TYPE_LIMIT agent types there is no B and no pi_y row,
+    # and every other row still gets a finite z
+    model = _fourteen_agent_types()
+    assert model.n_agent_types > simulator.OCCUPANCY_TYPE_LIMIT
+    stats = run(model, 5_000, seed=1, burn_in=100)
+    rows = compare_with_analytic(model, stats)
+    kinds = Counter(r.quantity.split("[")[0] for r in rows)
+    assert kinds == {"rate": 14, "loss": 1, "delay_mean": 14, "delay_var": 14}
+    assert all(math.isfinite(r.z) for r in rows)
+
+
+def test_compare_with_analytic_refuses_another_models_stats(example3x3, warm_kernel):
+    # same type names, another lambda_bar: the run says nothing about it
+    other = example3x3.with_lambda_bar(0.6)
+    with pytest.raises(DomainError, match="different model"):
+        compare_with_analytic(other, warm_kernel)
+    assert warm_kernel.model == example3x3
 
 
 def test_compare_with_analytic_rows(example3x3, warm_kernel):
