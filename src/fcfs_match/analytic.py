@@ -5,7 +5,7 @@ types, and each term is a product over prefixes of lambda_{C_l} / theta(prefix
 set), where theta(S) = mu_{S(S)} - lambda_S depends only on the set. Each sum
 therefore factors into a forward prefix weight W(S) and a backward completion
 weight F(T) over the 2^I agent sets, the set recursion of order-independent
-queues. One table per model holds theta, W, F and the per-pair rate and delay
+queues. One table per model holds theta, W, F and the per-edge rate and delay
 moment sums, built in O(J * I * 2^I) steps. The model keeps it
 (MatchingModel.subset_table), so it lives exactly as long as its model. It
 holds no wait sums: with Lambda = lambda_bar + mu_bar, a Poisson wait is the
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .errors import TooManyTypes
+from .errors import TooManyTypes, ZeroRate
 from .model import MatchingModel, _order_indices, _stable_scan
 
 # Agent types above which an e * I! walk (enumerate_terms, and
@@ -106,7 +106,7 @@ def enumerate_terms(model: MatchingModel, visit: Callable[[PermutationTerm], Non
 
 
 class _SubsetTable(NamedTuple):
-    """Per-set weights of one model, indexed by agent bitmask, and the per-pair
+    """Per-set weights of one model, indexed by agent bitmask, and the per-edge
     sums derived from them.
 
     W(S) sums the weights of the orders of S. F0(T) sums, over the ways to
@@ -114,26 +114,28 @@ class _SubsetTable(NamedTuple):
     prefixes' lambda_k / theta; so the orders extending an order P of the set T
     weigh weight(P) * F0(T) in total, and B = 1 / F0(empty set).
 
-    The moment sums count delays in sequence positions. The table keeps no
-    wait sums: delays.delay_moments derives the wait values from the delay
-    values through Lambda = lambda_bar + mu_bar.
+    edges maps every compatibility edge (good, agent), goods in declared order
+    and then agents in declared order, to (rate, raw, de, de2): its matching
+    rate B * (mu_good / mu_bar) * raw, its first-compatible credit sum raw,
+    and the delay-moment sums (position counts) weight * E[D] and weight *
+    E[D^2] given the order. Every rate is positive: the builder refuses a
+    model with a zero-rate edge. The table keeps no wait sums:
+    delays.delay_moments derives the wait values from the delay values
+    through Lambda = lambda_bar + mu_bar.
     """
 
     b: float
     theta: list[float]  # mu_{S(S)} - lambda_S; theta[0] = 0 is never divided by
     w: list[float]
     f0: list[float]
-    rate_raw: list[float]  # flat (good j * I + agent i) first-compatible credit sums
-    # delay-moment sums (position counts), same flat indexing: weight * E[D]
-    # and weight * E[D^2] given the order
-    de: list[float]
-    de2: list[float]
+    edges: dict[tuple[str, str], tuple[float, float, float, float]]
 
 
 def _subset_table(model: MatchingModel) -> _SubsetTable:
     """Build the table: theta from the model's subset scan, W by increasing
-    mask, the completions by decreasing mask, then the per-pair sums. Raises
-    UnstableModel unless check_stability calls the model stable."""
+    mask, the completions by decreasing mask, then the per-edge sums. Raises
+    UnstableModel unless check_stability calls the model stable, and ZeroRate,
+    naming the first such edge, when some edge's rate is not positive."""
     theta = _stable_scan(model).theta
     n = model.n_agent_types
     size = 1 << n
@@ -177,13 +179,18 @@ def _subset_table(model: MatchingModel) -> _SubsetTable:
         d1[t] = a * s0 + sd1
         d2[t] = (2.0 - p) * a * a * s0 + 2.0 * a * sd1 + sd2
 
-    nj = model.n_good_types
-    flat = [[0.0] * (nj * n) for _ in range(3)]
-    for j in range(nj):
-        sums = _first_match_sums(model, w, theta, j, (f0, d1, d2))
-        for out, part in zip(flat, sums):
-            out[j * n:(j + 1) * n] = part
-    return _SubsetTable(1.0 / f0[0], theta, w, f0, *flat)
+    b = 1.0 / f0[0]
+    edges = {}
+    for j, g in enumerate(model.good_names):
+        raw, de, de2 = _first_match_sums(model, w, theta, j, (f0, d1, d2))
+        for i, a in enumerate(model.agent_names):
+            if model.is_edge(g, a):
+                rate = b * (model.good_rates[j] / model.mu_bar) * raw[i]
+                if not rate > 0.0:
+                    raise ZeroRate(f"edge {(g, a)!r} has matching rate {rate!r}: the rate "
+                                   f"underflows a float, and the pair's delay is undefined")
+                edges[(g, a)] = (rate, raw[i], de[i], de2[i])
+    return _SubsetTable(b, theta, w, f0, edges)
 
 
 def _first_match_sums(model: MatchingModel, w, theta, j: int, completions) -> list[list[float]]:
@@ -212,15 +219,17 @@ def _first_match_sums(model: MatchingModel, w, theta, j: int, completions) -> li
         p = (p - 1) & free
 
 
-def _mixture(model: MatchingModel, j: int, i: int, stage_factor) -> float:
+def _mixture(model: MatchingModel, j: int, i: int, z: float) -> float:
     """Sum over the orders in which agent i is the first type compatible with
-    good j, of weight times the product of stage_factor(theta) over the
-    prefixes from the match position onward."""
+    good j, of weight times the product of the stage PGFs z p / (1 - z (1 -
+    p)), p = theta / (lambda_bar + mu_bar), over the prefixes from the match
+    position onward."""
     table = model.subset_table
     theta = table.theta
+    total_rate = model.total_rate
     size = len(theta)
     bits = [(1 << k, lam_k) for k, lam_k in enumerate(model.agent_rates)]
-    # H(T) = stage_factor(theta(T)) * (1 + sum_k lambda_k / theta(T+k) * H(T+k))
+    # H(T) = stage PGF at theta(T) * (1 + sum_k lambda_k / theta(T+k) * H(T+k))
     h = [0.0] * size
     for t in range(size - 1, 0, -1):
         acc = 1.0
@@ -228,7 +237,8 @@ def _mixture(model: MatchingModel, j: int, i: int, stage_factor) -> float:
             if not t & bit:
                 u = t | bit
                 acc += lam_k / theta[u] * h[u]
-        h[t] = stage_factor(theta[t]) * acc
+        p = theta[t] / total_rate
+        h[t] = z * p / (1.0 - z * (1.0 - p)) * acc
     return _first_match_sums(model, table.w, theta, j, (h,))[0][i]
 
 
@@ -332,33 +342,18 @@ def matching_rates(model: MatchingModel) -> RateReport:
     frequency turns the sums into rates, and the lost fraction is the good's
     frequency share minus its matched rates.
     """
-    result = model.subset_table
-    n = model.n_agent_types
-    mu = model.good_rates
-    mu_bar = model.mu_bar
-    rates: dict[tuple[str, str], float] = {}
+    table = model.subset_table
+    rates = {edge: entry[0] for edge, entry in table.edges.items()}
     loss: dict[str, float] = {}
     eta: dict[str, dict[str | None, float]] = {}
-    theta: dict[str, dict[str, float]] = {}
     for j, g in enumerate(model.good_names):
-        share = mu[j] / mu_bar
-        matched_total = 0.0
-        for i, a in enumerate(model.agent_names):
-            if not model.is_edge(g, a):
-                continue
-            r = result.b * share * result.rate_raw[j * n + i]
-            rates[(g, a)] = r
-            matched_total += r
-        loss[g] = share - matched_total
-        dist: dict[str | None, float] = {None: loss[g] / share}
-        for i, a in enumerate(model.agent_names):
-            if model.is_edge(g, a):
-                dist[a] = rates[(g, a)] / share
-        eta[g] = dist
+        share = model.good_rates[j] / model.mu_bar
+        by_agent = [(a, r) for (gg, a), r in rates.items() if gg == g]
+        loss[g] = share - sum(r for _, r in by_agent)
+        eta[g] = {None: loss[g] / share, **{a: r / share for a, r in by_agent}}
+    theta: dict[str, dict[str, float]] = {}
     for a in model.agent_names:
-        through = sum(rates.get((g, a), 0.0) for g in model.good_names)
-        if through > 0.0:
-            theta[a] = {g: rates[(g, a)] / through for g in model.good_names if (g, a) in rates}
-        else:
-            theta[a] = {}
-    return RateReport(b=result.b, rates=rates, loss=loss, eta=eta, theta=theta)
+        by_good = [(g, r) for (g, aa), r in rates.items() if aa == a]
+        through = sum(r for _, r in by_good)
+        theta[a] = {g: r / through for g, r in by_good}
+    return RateReport(b=table.b, rates=rates, loss=loss, eta=eta, theta=theta)

@@ -54,8 +54,8 @@ class DelayReport(NamedTuple):
 
     Pair keys are compatibility edges (good, agent). The function that builds
     the report sets its unit: delay_moments counts sequence positions,
-    wait_moments gives time units. A pair whose matching rate is zero is
-    simply absent.
+    wait_moments gives time units. Every edge and every agent type appears:
+    the subset table refuses a model with a zero-rate edge (ZeroRate).
     """
 
     pair_mean: dict[tuple[str, str], float]
@@ -93,33 +93,21 @@ class DelayReport(NamedTuple):
 
 def delay_moments(model: MatchingModel) -> DelayReport:
     """Means and variances of per-pair and per-agent delays, in sequence positions."""
-    result = model.subset_table
+    table = model.subset_table
     report = matching_rates(model)
-    n = model.n_agent_types
-    mu_bar = model.mu_bar
-
     pair_mean: dict[tuple[str, str], float] = {}
     pair_var: dict[tuple[str, str], float] = {}
-    for (g, a), r in report.rates.items():
-        if r <= 0.0:
-            continue  # structurally possible only with zero-rate edges; reported absent
-        j = model.good_index[g]
-        i = model.agent_index[a]
-        flat = j * n + i
-        scale = result.b * (model.good_rates[j] / mu_bar) / r
-        e = scale * result.de[flat]
+    for (g, a), (r, _, de, de2) in table.edges.items():
+        scale = table.b * (model.good_rates[model.good_index[g]] / model.mu_bar) / r
+        e = scale * de
         pair_mean[(g, a)] = e
-        pair_var[(g, a)] = scale * result.de2[flat] - e * e
+        pair_var[(g, a)] = scale * de2 - e * e
 
     agent_mean: dict[str, float] = {}
     agent_var: dict[str, float] = {}
-    for a in model.agent_names:
-        weights = report.theta.get(a, {})
-        pairs = [(g, w) for g, w in weights.items() if (g, a) in pair_mean]
-        if not pairs:
-            continue
-        m = sum(w * pair_mean[(g, a)] for g, w in pairs)
-        second = sum(w * (pair_var[(g, a)] + pair_mean[(g, a)] ** 2) for g, w in pairs)
+    for a, weights in report.theta.items():
+        m = sum(w * pair_mean[(g, a)] for g, w in weights.items())
+        second = sum(w * (pair_var[(g, a)] + pair_mean[(g, a)] ** 2) for g, w in weights.items())
         agent_mean[a] = m
         agent_var[a] = second - m * m
 
@@ -151,18 +139,8 @@ def _pair_transform(model: MatchingModel, pair, z: float) -> float:
         raise UnknownIdentifier(f"unknown pair ({g!r}, {a!r})")
     if not model.is_edge(g, a):
         raise ZeroRate(f"({g!r}, {a!r}) is not a compatibility edge; its rate is zero")
-    table = model.subset_table
-    j, i = model.good_index[g], model.agent_index[a]
-    raw = table.rate_raw[j * model.n_agent_types + i]
-    if raw <= 0.0:
-        raise ZeroRate(f"pair ({g!r}, {a!r}) has zero matching rate")
-    total_rate = model.total_rate
-
-    def factor(theta: float) -> float:
-        p = theta / total_rate
-        return z * p / (1.0 - z * (1.0 - p))
-
-    return _mixture(model, j, i, factor) / raw
+    raw = model.subset_table.edges[(g, a)][1]
+    return _mixture(model, model.good_index[g], model.agent_index[a], z) / raw
 
 
 def delay_pgf(model: MatchingModel, pair, z: float) -> float:

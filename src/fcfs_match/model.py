@@ -121,7 +121,6 @@ class SubsetScan(NamedTuple):
 
     theta: list[float]
     worst: int  # argmin mask of theta; its margin decides stability (check_stability)
-    crp: bool
     rho: MaxStableRho
 
 
@@ -333,6 +332,17 @@ def _is_number(x) -> bool:
     return True
 
 
+def _shown(x) -> str:
+    """repr(x) for a message, cut after 30 characters: an integer beyond float
+    range would otherwise print every one of its hundreds of digits."""
+    text = repr(x)
+    if len(text) <= 30:
+        return text
+    size = (f"an integer of {len(text.lstrip('-'))} digits" if isinstance(x, int)
+            else f"{len(text)} characters")
+    return f"{text[:30]}... ({size})"
+
+
 def validate(model: MatchingModel) -> MatchingModel:
     """Check every model invariant; return the model or raise with all violations.
 
@@ -353,14 +363,14 @@ def validate(model: MatchingModel) -> MatchingModel:
     for side, types in sides:
         for name, f in types:
             if not _is_number(f):
-                issues.append(NonPositiveFrequency(f"{side} type {name!r} has frequency {f!r}, not a number"))
+                issues.append(NonPositiveFrequency(f"{side} type {name!r} has frequency {_shown(f)}, not a number"))
             elif not f > 0.0:
-                issues.append(NonPositiveFrequency(f"{side} type {name!r} has frequency {f!r}"))
+                issues.append(NonPositiveFrequency(f"{side} type {name!r} has frequency {_shown(f)}"))
     for name, rate in (("lambda_bar", model.lambda_bar), ("mu_bar", model.mu_bar)):
         if not _is_number(rate):
-            issues.append(NonPositiveRate(f"{name} = {rate!r} is not a number"))
+            issues.append(NonPositiveRate(f"{name} = {_shown(rate)} is not a number"))
         elif not 0.0 < rate < math.inf:  # NaN fails too
-            issues.append(NonPositiveRate(f"{name} = {rate!r} must be positive and finite"))
+            issues.append(NonPositiveRate(f"{name} = {_shown(rate)} must be positive and finite"))
 
     agent_set = {n for n, _ in model.agent_types}
     good_set = {n for n, _ in model.good_types}
@@ -455,10 +465,6 @@ def _scan_subsets(model: MatchingModel) -> SubsetScan:
     value = min(uncapped, ratio[full])
     witness = model.subset_from_mask("agent", _first_at(ratio, value))
     del ratio
-    # alpha_C < beta_{S(C)} for every proper nonempty C: for positive floats g
-    # and f, g / f rounds above 1 exactly when g > f, since g / f is then at
-    # least 1 + ulp(f) / f, more than half an ulp of 1 above 1.
-    crp = uncapped > 1.0
 
     rate = [0.0]
     for lam in model.agent_rates:
@@ -466,7 +472,7 @@ def _scan_subsets(model: MatchingModel) -> SubsetScan:
     theta = [good_rate[g] - r for g, r in zip(goods, rate)]
     del goods, rate
     worst = _first_at(theta, min(itertools.islice(theta, 1, None)))
-    return SubsetScan(theta, worst, crp, MaxStableRho(value, uncapped, witness.names))
+    return SubsetScan(theta, worst, MaxStableRho(value, uncapped, witness.names))
 
 
 def check_stability(model: MatchingModel) -> StabilityReport:
@@ -517,7 +523,10 @@ def _order_indices(model: MatchingModel, order) -> list[int]:
 
 def check_crp(model: MatchingModel) -> bool:
     """Complete resource pooling: alpha_C < beta_{S(C)} for every proper nonempty C."""
-    return model.subset_scan.crp
+    # for positive floats g and f, g / f rounds above 1 exactly when g > f,
+    # since g / f is then at least 1 + ulp(f) / f, more than half an ulp of 1
+    # above 1; so the minimum ratio over proper subsets answers for them all
+    return model.subset_scan.rho.uncapped > 1.0
 
 
 def max_stable_rho(model: MatchingModel) -> MaxStableRho:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fcfs_match
-from fcfs_match import matching_rates, save_model, validate, MatchingModel
+from fcfs_match import matching_rates, save_model, validate, MatchingModel, ZeroRate
 from fcfs_match._format import round12
 from fcfs_match.cli import main
 
@@ -81,6 +81,7 @@ def test_number_beyond_float_range_exits_2(tmp_path, capsys, model_file, command
         captured = capsys.readouterr()
         errors = json.loads(captured.out)["errors"] if command == "validate" else [captured.err]
         assert any(key in e and "not a number" in e for e in errors), errors
+        assert all(len(line) < 120 for e in errors for line in e.splitlines()), errors
     path.write_text(text.replace('"mu_bar": 1.0', '"mu_bar": 1' + "0" * 5000))
     assert main([command, "--model", str(path)]) == 2
     captured = capsys.readouterr()
@@ -351,6 +352,34 @@ def test_verify_fails_on_unestimable_row(tmp_path, capsys, warm_kernel):
     assert all(len(line.rsplit(",", 4)) == 5 for line in lines)
     assert "delay_var[s2,c2],3.34" in captured.out
     assert "delay_var[s2,c2]" in captured.err
+
+
+def test_edge_whose_rate_underflows_exits_2(tmp_path, capsys):
+    # lambda_bar * alpha of c2 rounds to 0, so the rate of (s2, c2) is 0 and
+    # its delay undefined: every command that needs the subset table refuses
+    # the model with one line, and the others run
+    model = MatchingModel(
+        agent_types=(("c1", 0.9999999999999), ("c2", 5e-324)),
+        good_types=(("s1", 0.5), ("s2", 0.5)),
+        edges=frozenset({("s1", "c1"), ("s2", "c1"), ("s2", "c2")}),
+        lambda_bar=0.4,
+        mu_bar=1.0,
+    )
+    with pytest.raises(ZeroRate, match=r"\('s2', 'c2'\)"):
+        matching_rates(model)
+    path = _model_path(tmp_path, model)
+    assert main(["validate", "--model", path]) == 0
+    assert main(["simulate", "--model", path, "--events", "20000"]) == 0
+    capsys.readouterr()
+    refused = [[command, *options] for command in ("rates", "delays", "waits")
+               for options in ([], ["--format", "csv"], ["--table"])]
+    refused += [["sweep"], ["verify", "--events", "20000"]]
+    for argv in refused:
+        assert main([argv[0], "--model", path, *argv[1:]]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1, captured.err
+        assert captured.err.startswith("error: ") and "('s2', 'c2')" in captured.err
 
 
 def test_verify_rejects_nan_or_nonpositive_z_max(tmp_path, capsys, model_file, warm_kernel):
