@@ -7,7 +7,7 @@ an agent joins an empty queue (the type is appended) or a good takes a
 queue's oldest agent (the type moves back by its new head, or leaves). An
 arriving good matches the first type in that order it is compatible with,
 which is the earliest-arrived compatible agent. Occupancy of each order is
-tallied as run lengths between changes.
+tallied as run lengths between changes, at every agent-type count.
 
 Events arrive as integer codes: t < n_agent is an agent of type t, and
 n_agent + j is a good of type j. simulator.run derives them from the
@@ -29,7 +29,7 @@ class BatchTally:
 
     __slots__ = ("match_counts", "delay_sums", "delay_sqs", "loss_counts", "goods", "occupancy")
 
-    def __init__(self, n_good: int, n_agent: int, track_occupancy: bool):
+    def __init__(self, n_good: int, n_agent: int):
         pairs = n_good * n_agent
         self.match_counts = [0] * pairs
         self.delay_sums = [0] * pairs
@@ -37,7 +37,7 @@ class BatchTally:
         self.loss_counts = [0] * n_good
         self.goods = 0
         # order (tuple of type indices) -> events that ended with that order
-        self.occupancy: dict[tuple[int, ...], int] | None = {} if track_occupancy else None
+        self.occupancy: dict[tuple[int, ...], int] = {}
 
 
 def sim_slice(codes, n, n_agent, compat, queues, order, tally):
@@ -52,7 +52,6 @@ def sim_slice(codes, n, n_agent, compat, queues, order, tally):
     dq = tally.delay_sqs
     lc = tally.loss_counts
     occ = tally.occupancy
-    track = occ is not None
     key = tuple(order)
     run_start = n
     agents = 0
@@ -92,13 +91,13 @@ def sim_slice(codes, n, n_agent, compat, queues, order, tally):
                     break
             else:
                 lc[j] += 1
-        if changed and track:
+        if changed:
             if n > run_start:
                 occ[key] = occ.get(key, 0) + n - run_start
                 run_start = n
             key = tuple(order)
         n += 1
-    if track and n > run_start:
+    if n > run_start:
         occ[key] = occ.get(key, 0) + n - run_start
     tally.goods += len(codes) - agents
     return agents

@@ -134,9 +134,14 @@ class _SubsetTable(NamedTuple):
 def _subset_table(model: MatchingModel) -> _SubsetTable:
     """Build the table: theta from the model's subset scan, W by increasing
     mask, the completions by decreasing mask, then the per-edge sums. Raises
-    UnstableModel unless check_stability calls the model stable, and ZeroRate,
-    naming the first such edge, when some edge's rate is not positive."""
+    UnstableModel unless check_stability calls the model stable, and ZeroRate
+    when some good's arrival rate, or else some edge's rate, is not positive,
+    naming the first such good or edge."""
     theta = _stable_scan(model).theta
+    for g, mu_j in zip(model.good_names, model.good_rates):
+        if not mu_j > 0.0:
+            raise ZeroRate(f"good {g!r} has arrival rate {mu_j!r}: the rate underflows a "
+                           f"float, and the good's loss rate is undefined")
     n = model.n_agent_types
     size = 1 << n
     total_rate = model.total_rate

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 invalid or unreadable model, invalid arguments, an
-unwritable --out path or an edge whose matching rate underflows to zero
-(ZeroRate), 3 unstable model or grid point, 4 too many agent types (the lists
+unwritable --out path, or a good's arrival rate or an edge's matching rate
+that underflows to zero (ZeroRate), 3 unstable model or grid point, 4 too many agent types (the lists
 over the 2^I agent sets would not fit in memory), 5 verification failure.
 
 verify writes a 5-column CSV whose quantity field is not quoted: pair

@@ -66,8 +66,9 @@ class ZeroRate(FcfsMatchError):
     """A per-pair quantity is undefined because the pair's matching rate is zero.
 
     Raised for a pair that is not a compatibility edge, and by the subset table
-    for a model in which some edge's rate rounds to zero (a type frequency
-    near the float minimum); the message names the first such edge.
+    for a model in which some good's arrival rate mu_bar * beta_j, or some
+    edge's rate, rounds to zero (a type frequency near the float minimum); the
+    message names the first such good, or else the first such edge.
     """
 
 

@@ -366,11 +366,16 @@ def validate(model: MatchingModel) -> MatchingModel:
                 issues.append(NonPositiveFrequency(f"{side} type {name!r} has frequency {_shown(f)}, not a number"))
             elif not f > 0.0:
                 issues.append(NonPositiveFrequency(f"{side} type {name!r} has frequency {_shown(f)}"))
+    rate_issues = len(issues)
     for name, rate in (("lambda_bar", model.lambda_bar), ("mu_bar", model.mu_bar)):
         if not _is_number(rate):
             issues.append(NonPositiveRate(f"{name} = {_shown(rate)} is not a number"))
         elif not 0.0 < rate < math.inf:  # NaN fails too
             issues.append(NonPositiveRate(f"{name} = {_shown(rate)} must be positive and finite"))
+    # every drain margin is theta / (lambda_bar + mu_bar), which is 0 when the sum overflows
+    if len(issues) == rate_issues and float(model.lambda_bar) + float(model.mu_bar) == math.inf:
+        issues.append(NonPositiveRate(f"lambda_bar + mu_bar = {_shown(model.lambda_bar)} + "
+                                      f"{_shown(model.mu_bar)} overflows a float"))
 
     agent_set = {n for n, _ in model.agent_types}
     good_set = {n for n, _ in model.good_types}

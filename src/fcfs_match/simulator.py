@@ -26,7 +26,6 @@ from .model import MatchingModel, _order_indices, _stable_scan
 BATCHES = 50  # every run splits its post-burn-in events into this many batches
 PI_Y_THRESHOLD = 1e-4  # verify checks the waiting orders more probable than this
 MIN_BURN_IN = 10_000
-OCCUPANCY_TYPE_LIMIT = 12  # orders of more types are too many to tally
 PI_Y_ROW_BLOCK = 128  # pi_y rows per numpy pass: bounds the temporary arrays
 
 
@@ -50,7 +49,7 @@ def _ratio_estimate(num: np.ndarray, den: np.ndarray) -> Estimate:
 
 @dataclass
 class SimStats:
-    """Raw per-batch counters of one simulation run of model."""
+    """Raw per-batch counters of one simulation run of model, occupancy included."""
 
     model: MatchingModel
     seeds: tuple[int, ...]
@@ -72,10 +71,6 @@ class SimStats:
     total_agents: int
     total_goods: int
     final_unmatched: int
-
-    @property
-    def tracks_occupancy(self) -> bool:
-        return self.model.n_agent_types <= OCCUPANCY_TYPE_LIMIT
 
     # --- estimates ---
 
@@ -99,8 +94,6 @@ class SimStats:
         return self.pi_y(())
 
     def pi_y(self, order) -> Estimate:
-        if not self.tracks_occupancy:
-            raise DomainError("waiting-order occupancy was not tracked for this run")
         names = tuple(order)
         if names:  # the empty order is B
             _order_indices(self.model, names)
@@ -204,7 +197,7 @@ class SimStats:
             "total_goods": self.total_goods,
             "final_unmatched": self.final_unmatched,
             "events_post_burn_in": self.events_post_burn_in,
-            "empty_state": est(self.b_hat()) if self.tracks_occupancy else None,
+            "empty_state": est(self.b_hat()),
             "rates": rates,
             "loss": {g: est(self.loss_rate(g)) for g in self.model.good_names},
             "delays": delays,
@@ -244,7 +237,6 @@ def run(
 
     n_agent = model.n_agent_types
     n_good = model.n_good_types
-    track = n_agent <= OCCUPANCY_TYPE_LIMIT  # as SimStats.tracks_occupancy
     # an item of kind uniform u_kind and type uniform u_type is agent type
     # bisect_right(alpha_cum[:-1], u_type) if u_kind < p_agent, else good type
     # bisect_right(beta_cum[:-1], u_type); searchsorted side="right" is the same
@@ -282,7 +274,7 @@ def run(
     total_agents = 0
     m = pos = chunk_end = 0
     for lo, hi, b in segments:
-        tally = _kernel.BatchTally(n_good, n_agent, track and b is not None)
+        tally = _kernel.BatchTally(n_good, n_agent)
         while pos < hi:
             if pos == chunk_end:
                 kind_rng.bit_generator.advance(m)
@@ -308,10 +300,9 @@ def run(
         loss_counts[b] = tally.loss_counts
         goods_counts[b] = tally.goods
         events_counts[b] = hi - lo
-        if track:
-            entry_rows += [order_rows.setdefault(key, len(order_rows)) for key in tally.occupancy]
-            entry_counts += tally.occupancy.values()
-            batch_entries.append(len(tally.occupancy))
+        entry_rows += [order_rows.setdefault(key, len(order_rows)) for key in tally.occupancy]
+        entry_counts += tally.occupancy.values()
+        batch_entries.append(len(tally.occupancy))
 
     return SimStats(
         model=model,
@@ -375,9 +366,8 @@ def compare_with_analytic(model: MatchingModel, stats: SimStats) -> list[VerifyR
     delays = delay_moments(model)
     rows: list[VerifyRow] = []
 
-    if stats.tracks_occupancy:
-        est = stats.b_hat()
-        rows.append(VerifyRow("B", report.b, est.value, est.stderr, _z(report.b, est)))
+    est = stats.b_hat()
+    rows.append(VerifyRow("B", report.b, est.value, est.stderr, _z(report.b, est)))
     for (g, a), r in report.rates.items():
         e = stats.rate(g, a)
         rows.append(VerifyRow(f"rate[{g},{a}]", r, e.value, e.stderr, _z(r, e)))
@@ -390,9 +380,8 @@ def compare_with_analytic(model: MatchingModel, stats: SimStats) -> list[VerifyR
     for (g, a), v in delays.pair_var.items():
         e = stats.delay_var(g, a)
         rows.append(VerifyRow(f"delay_var[{g},{a}]", v, e.value, e.stderr, _z(v, e)))
-    if stats.tracks_occupancy:
-        above = sorted(_orders_above(model, PI_Y_THRESHOLD).items())
-        values, stderrs = stats._pi_y_rows([order for order, _ in above])
-        for (order, prob), e in zip(above, map(Estimate, values.tolist(), stderrs.tolist())):
-            rows.append(VerifyRow(f"pi_y[{'>'.join(order)}]", prob, e.value, e.stderr, _z(prob, e)))
+    above = sorted(_orders_above(model, PI_Y_THRESHOLD).items())
+    values, stderrs = stats._pi_y_rows([order for order, _ in above])
+    for (order, prob), e in zip(above, map(Estimate, values.tolist(), stderrs.tolist())):
+        rows.append(VerifyRow(f"pi_y[{'>'.join(order)}]", prob, e.value, e.stderr, _z(prob, e)))
     return rows

@@ -342,6 +342,21 @@ def _rare_c2_model():
     )
 
 
+def _unreached_c2_model():
+    # c2 arrives once in a million agents: in 2e4 events no s2 meets a c2
+    return MatchingModel(
+        agent_types=(("c1", 0.999999), ("c2", 1e-6)),
+        good_types=(("s1", 0.5), ("s2", 0.5)),
+        edges=frozenset({("s1", "c1"), ("s2", "c1"), ("s2", "c2")}),
+        lambda_bar=0.7,
+        mu_bar=1.0,
+    )
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def test_verify_fails_on_unestimable_row(tmp_path, capsys, warm_kernel):
     args = ["verify", "--model", _model_path(tmp_path, _rare_c2_model()), "--events", "20000",
             "--seed", "1", "--z-max", "100"]
@@ -352,6 +367,20 @@ def test_verify_fails_on_unestimable_row(tmp_path, capsys, warm_kernel):
     assert all(len(line.rsplit(",", 4)) == 5 for line in lines)
     assert "delay_var[s2,c2],3.34" in captured.out
     assert "delay_var[s2,c2]" in captured.err
+
+    # an edge that no match reaches: its rate reads 0 with stderr 0, and its
+    # delay moments have no estimate at all
+    path = _model_path(tmp_path, _unreached_c2_model(), "unreached.json")
+    args = ["--model", path, "--events", "20000", "--seed", "1"]
+    assert main(["verify", *args, "--z-max", "100"]) == 5
+    captured = capsys.readouterr()
+    assert ("no finite z-score for rate[s2,c2], delay_mean[s2,c2], delay_var[s2,c2]"
+            in captured.err)
+    assert "delay_mean[s2,c2],7.366670236672e+00,nan,inf,nan\n" in captured.out
+    assert main(["simulate", *args]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert "s2,c2" not in payload["rates"] and "s2,c2" not in payload["delays"]
+    assert list(payload["rates"]) == ["s1,c1", "s2,c1"]
 
 
 def test_edge_whose_rate_underflows_exits_2(tmp_path, capsys):
@@ -367,6 +396,10 @@ def test_edge_whose_rate_underflows_exits_2(tmp_path, capsys):
     )
     with pytest.raises(ZeroRate, match=r"\('s2', 'c2'\)"):
         matching_rates(model)
+    _assert_only_table_commands_refuse(tmp_path, capsys, model, "('s2', 'c2')")
+
+
+def _assert_only_table_commands_refuse(tmp_path, capsys, model, named):
     path = _model_path(tmp_path, model)
     assert main(["validate", "--model", path]) == 0
     assert main(["simulate", "--model", path, "--events", "20000"]) == 0
@@ -379,7 +412,47 @@ def test_edge_whose_rate_underflows_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1, captured.err
-        assert captured.err.startswith("error: ") and "('s2', 'c2')" in captured.err
+        assert captured.err.startswith("error: ") and named in captured.err
+
+
+def test_good_whose_rate_underflows_exits_2(tmp_path, capsys):
+    # mu_bar * beta of s2 rounds to 0, so the loss rate of s2 is undefined:
+    # every command that needs the subset table refuses the model with one
+    # line naming the good, and the others run
+    model = MatchingModel(
+        agent_types=(("c1", 1.0),),
+        good_types=(("s1", 1.0), ("s2", 5e-324)),
+        edges=frozenset({("s1", "c1")}),
+        lambda_bar=0.2,
+        mu_bar=0.5,
+    )
+    with pytest.raises(ZeroRate, match="good 's2'"):
+        matching_rates(model)
+    _assert_only_table_commands_refuse(tmp_path, capsys, model, "good 's2'")
+
+
+def test_total_rate_that_overflows_exits_2(tmp_path, capsys):
+    # lambda_bar + mu_bar overflows to inf, so every drain margin would read 0
+    # and a stable model unstable: the model is invalid under every command
+    data = {"agents": [{"name": "c1", "alpha": 1.0}], "goods": [{"name": "s1", "beta": 1.0}],
+            "edges": [["s1", "c1"]], "lambda_bar": 1e308, "mu_bar": 1.5e308}
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", "--model", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["valid"] is False
+    assert payload["errors"] == ["lambda_bar + mu_bar = 1e+308 + 1.5e+308 overflows a float"]
+    for command in COMMANDS[1:]:
+        assert main([command, "--model", str(path)]) == 2, command
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "lambda_bar + mu_bar = 1e+308 + 1.5e+308 overflows a float" in captured.err
+    # a tenth of each keeps the sum finite, and the model is stable
+    data.update(lambda_bar=1e307, mu_bar=1.5e307)
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", "--model", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["stable"] is True
+    assert main(["rates", "--model", str(path)]) == 0
 
 
 def test_verify_rejects_nan_or_nonpositive_z_max(tmp_path, capsys, model_file, warm_kernel):

@@ -14,6 +14,7 @@ from fcfs_match import (
     compare_with_analytic,
     matching_rates,
     normalizing_constant,
+    pi_y_perm,
 )
 from fcfs_match import _kernel, simulator
 from fcfs_match.errors import DomainError, DuplicateType, UnknownIdentifier
@@ -393,26 +394,32 @@ def _fourteen_agent_types() -> MatchingModel:
     return MatchingModel(agents, goods, edges, 0.4, 1.0)
 
 
-def test_untracked_occupancy_for_many_types():
+def test_occupancy_tallied_for_many_types():
+    # occupancy is tallied at every agent-type count, 14 types included
     model = _fourteen_agent_types()
     stats = run(model, 5_000, seed=1, burn_in=100)
-    assert not stats.tracks_occupancy
-    with pytest.raises(DomainError):
-        stats.b_hat()
+    b = stats.b_hat()
+    assert 0.0 < b.value <= 1.0 and math.isfinite(b.stderr)
+    assert stats.occupancy
     est = stats.rate("s", "c0")
     assert est.value > 0
 
 
-def test_compare_with_analytic_without_occupancy():
-    # above OCCUPANCY_TYPE_LIMIT agent types there is no B and no pi_y row,
-    # and every other row still gets a finite z
+def test_compare_with_analytic_for_many_types():
+    # 14 agent types: B and pi_y rows beside the others, and every row but a
+    # pi_y row gets a finite z (an order no batch saw has z = inf); the pi_y
+    # values come from the pruned walk, as analytic_pi_y stops at 10 types
     model = _fourteen_agent_types()
-    assert model.n_agent_types > simulator.OCCUPANCY_TYPE_LIMIT
     stats = run(model, 5_000, seed=1, burn_in=100)
     rows = compare_with_analytic(model, stats)
     kinds = Counter(r.quantity.split("[")[0] for r in rows)
-    assert kinds == {"rate": 14, "loss": 1, "delay_mean": 14, "delay_var": 14}
-    assert all(math.isfinite(r.z) for r in rows)
+    assert kinds.pop("pi_y") >= 1
+    assert kinds == {"B": 1, "rate": 14, "loss": 1, "delay_mean": 14, "delay_var": 14}
+    pi_rows = [r for r in rows if r.quantity.startswith("pi_y[")]
+    assert all(math.isfinite(r.z) for r in rows if not r.quantity.startswith("pi_y["))
+    for row in pi_rows:
+        order = tuple(row.quantity[len("pi_y["):-1].split(">"))
+        assert row.analytic == pytest.approx(pi_y_perm(model, order), rel=1e-12)
 
 
 def test_compare_with_analytic_refuses_another_models_stats(example3x3, warm_kernel):
