@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 invalid or unreadable model, invalid arguments, an
 unwritable --out path, or a good's arrival rate or an edge's matching rate
-that underflows to zero (ZeroRate), 3 unstable model or grid point, 4 too many agent types (the lists
-over the 2^I agent sets would not fit in memory), 5 verification failure.
+that underflows to zero (ZeroRate), 3 unstable model or grid point, 4 too
+many agent types (the lists over the 2^I agent sets would not fit in
+memory), 5 verification failure.
 
 verify writes a 5-column CSV whose quantity field is not quoted: pair
 quantities such as rate[s1,c1] hold a comma, so split each row from the right

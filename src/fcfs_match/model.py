@@ -293,7 +293,7 @@ class MatchingModel(_Record):
             edges = frozenset((g, a) for g, a in data["edges"])
             return cls(agents, goods, edges, data["lambda_bar"], data["mu_bar"])
         except (KeyError, TypeError, ValueError) as exc:
-            raise ModelValidationError([UnknownIdentifier(f"malformed model data: {exc}")]) from exc
+            raise ModelValidationError([ValidationIssue(f"malformed model data: {exc}")]) from exc
 
 
 def load_model(path) -> MatchingModel:
@@ -307,7 +307,7 @@ def load_model(path) -> MatchingModel:
     try:
         data = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer of too many digits
-        raise ModelValidationError([UnknownIdentifier(f"invalid JSON: {exc}")]) from exc
+        raise ModelValidationError([ValidationIssue(f"invalid JSON: {exc}")]) from exc
     return MatchingModel.from_json_dict(data)
 
 

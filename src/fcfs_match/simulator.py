@@ -1,10 +1,11 @@
 """Monte Carlo verification: batch simulator, estimates, analytic comparison.
 
 run() drives the simulation kernel over a seeded uniform stream and returns raw
-per-batch counters; every estimate (matching rates, loss rates, empty-state
-probability, delay moments, waiting-list-order occupancies) carries a
-batch-means standard error. compare_with_analytic() lines the estimates up
-against the subset table's results as z-scores.
+per-batch counters. Every estimate carries a batch-means standard error, and
+each family comes from one row-wise call: _batch_means for the ratios (rate,
+delay mean and loss; B with the waiting-list-order occupancies) and
+_batch_variances for the delay variances. compare_with_analytic() lines the
+estimates up against the subset table's results as z-scores.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .model import MatchingModel, _order_indices, _stable_scan
 BATCHES = 50  # every run splits its post-burn-in events into this many batches
 PI_Y_THRESHOLD = 1e-4  # verify checks the waiting orders more probable than this
 MIN_BURN_IN = 10_000
-PI_Y_ROW_BLOCK = 128  # pi_y rows per numpy pass: bounds the temporary arrays
 
 
 class Estimate(NamedTuple):
@@ -34,17 +34,54 @@ class Estimate(NamedTuple):
     stderr: float
 
 
-def _ratio_estimate(num: np.ndarray, den: np.ndarray) -> Estimate:
-    total = den.sum()
-    if total <= 0:
-        return Estimate(math.nan, math.inf)
-    value = float(num.sum() / total)
-    valid = den > 0
-    if valid.sum() < 2:
-        return Estimate(value, math.inf)
-    ests = num[valid] / den[valid]
-    stderr = float(ests.std(ddof=1) / math.sqrt(int(valid.sum())))
-    return Estimate(value, stderr)
+def _ratio(num, den, where) -> np.ndarray:
+    """num / den where where holds, nan elsewhere, without a 0/0 warning."""
+    return np.divide(num, den, out=np.full(np.broadcast(num, den).shape, math.nan), where=where)
+
+
+def _stderrs(ests: np.ndarray) -> np.ndarray:
+    """Standard errors of (rows, batches) per-batch estimates, nan where a batch has
+    none: the std over the other batches over the root of their count (inf below 2)."""
+    count = np.count_nonzero(~np.isnan(ests), axis=1)
+    stderrs = np.full(len(ests), math.inf)
+    ok = count >= 2
+    stderrs[ok] = np.nanstd(ests[ok], axis=1, ddof=1) / np.sqrt(count[ok])
+    return stderrs
+
+
+def _batch_means(num, den) -> tuple[np.ndarray, np.ndarray]:
+    """Values and standard errors of the ratio estimates of the rows of num,
+    (rows, batches), over den, (batches,) or (rows, batches).
+
+    A row's value is its total over den's total (nan when that is 0); its
+    standard error comes from the per-batch ratios of the batches with den > 0.
+    """
+    total = den.sum(axis=-1)
+    return _ratio(num.sum(axis=1), total, total > 0), _stderrs(_ratio(num, den, den > 0))
+
+
+def _batch_variances(sums, sqs, m) -> tuple[np.ndarray, np.ndarray]:
+    """Values and standard errors of the delay variances of the rows of m
+    matches, (rows, batches), whose delays total sums and squares total sqs.
+
+    A row's value is its mean square less its squared mean (nan without a
+    match); its standard error comes from the batches with 2 matches or more.
+    """
+    total = m.sum(axis=1)
+    mean = _ratio(sums.sum(axis=1), total, total > 0)
+    batch_mean = _ratio(sums, m, m > 1)
+    return (_ratio(sqs.sum(axis=1), total, total > 0) - mean * mean,
+            _stderrs(_ratio(sqs, m, m > 1) - batch_mean * batch_mean))
+
+
+def _listed(family: tuple[np.ndarray, np.ndarray]) -> list[Estimate]:
+    return list(map(Estimate, *(a.tolist() for a in family)))
+
+
+def _pick(estimates: dict, key) -> Estimate:
+    if key not in estimates:
+        raise UnknownIdentifier(f"no estimate for {key!r}: not a good type or an edge")
+    return estimates[key]
 
 
 @dataclass
@@ -52,7 +89,7 @@ class SimStats:
     """Raw per-batch counters of one simulation run of model, occupancy included."""
 
     model: MatchingModel
-    seeds: tuple[int, ...]
+    seed: int
     n_events: int
     burn_in: int
     n_batches: int
@@ -74,21 +111,37 @@ class SimStats:
 
     # --- estimates ---
 
-    def _good(self, good: str) -> int:
-        if good not in self.model.good_index:
-            raise UnknownIdentifier(f"unknown good type {good!r}")
-        return self.model.good_index[good]
+    def _estimates(self) -> dict[str, dict]:
+        """Every edge's rate, delay_mean and delay_var and every good's loss,
+        keyed by edge or good: one batch-means call per family."""
+        model = self.model
+        edges = [(g, a) for g in model.good_names for a in model.agent_names if model.is_edge(g, a)]
+        j, i = zip(*((model.good_index[g], model.agent_index[a]) for g, a in edges))
+        m, sums, sqs = (c[:, j, i].T for c in (self.match_counts, self.delay_sums, self.delay_sqs))
+        families = {"rate": _batch_means(m, self.goods_counts), "delay_mean": _batch_means(sums, m),
+                    "delay_var": _batch_variances(sums, sqs, m)}
+        estimates = {name: dict(zip(edges, _listed(f))) for name, f in families.items()}
+        loss = _batch_means(self.loss_counts.T, self.goods_counts)
+        return {**estimates, "loss": dict(zip(model.good_names, _listed(loss)))}
 
-    def _pair(self, good: str, agent: str) -> tuple[int, int]:
-        return self._good(good), *_order_indices(self.model, [agent])
+    def _pi_y_estimates(self, orders) -> list[Estimate]:
+        """pi_y of each of a list of distinct valid orders of agent names, the empty
+        order (B) included; only the asked orders get dense occupancy rows."""
+        agent_index = self.model.agent_index
+        rows = [self.order_rows.get(tuple(map(agent_index.__getitem__, o)), -1) for o in orders]
+        # entries of rows not asked for land in one spare row, dropped at the
+        # end; row -1 indexes the last slot, which no entry reads
+        slot = np.full(len(self.order_rows) + 1, len(rows))
+        slot[rows] = np.arange(len(rows))
+        counts = np.zeros((len(rows) + 1, self.n_batches), dtype=np.int64)
+        counts[slot[self.entry_rows], self.entry_batches] = self.entry_counts
+        return _listed(_batch_means(counts[:-1], self.events_counts))
 
     def rate(self, good: str, agent: str) -> Estimate:
-        j, i = self._pair(good, agent)
-        return _ratio_estimate(self.match_counts[:, j, i], self.goods_counts)
+        return _pick(self._estimates()["rate"], (good, agent))
 
     def loss_rate(self, good: str) -> Estimate:
-        j = self._good(good)
-        return _ratio_estimate(self.loss_counts[:, j], self.goods_counts)
+        return _pick(self._estimates()["loss"], good)
 
     def b_hat(self) -> Estimate:
         return self.pi_y(())
@@ -97,66 +150,15 @@ class SimStats:
         names = tuple(order)
         if names:  # the empty order is B
             _order_indices(self.model, names)
-        values, stderrs = self._pi_y_rows([names])
-        return Estimate(float(values[0]), float(stderrs[0]))
-
-    def _dense_rows(self, rows: np.ndarray) -> np.ndarray:
-        """(len(rows), batches) int64 occupancy of distinct rows; row -1 is all zeros."""
-        # entries of rows not asked for land in one spare row, dropped at the end;
-        # row -1 indexes the last slot, which no entry reads
-        slot = np.full(len(self.order_rows) + 1, len(rows))
-        slot[rows] = np.arange(len(rows))
-        dense = np.zeros((len(rows) + 1, self.n_batches), dtype=np.int64)
-        dense[slot[self.entry_rows], self.entry_batches] = self.entry_counts
-        return dense[:-1]
-
-    def _pi_y_rows(self, orders) -> tuple[np.ndarray, np.ndarray]:
-        """Values and standard errors of pi_y for a list of distinct valid orders.
-
-        Each row is the batch-means ratio of the order's occupancy to the
-        events (every batch holds at least one event), and numpy's std along
-        a contiguous row matches the 1-D std bit for bit, so the answer for an
-        order does not depend on the other orders asked. Only the asked
-        orders get dense rows.
-        """
-        agent_index = self.model.agent_index
-        rows = [self.order_rows.get(tuple(map(agent_index.__getitem__, o)), -1) for o in orders]
-        counts = self._dense_rows(np.array(rows, dtype=np.int64))
-        values = counts.sum(axis=1) / self.events_counts.sum()
-        stderrs = np.empty(len(rows))
-        for lo in range(0, len(rows), PI_Y_ROW_BLOCK):
-            ests = counts[lo:lo + PI_Y_ROW_BLOCK] / self.events_counts
-            stderrs[lo:lo + PI_Y_ROW_BLOCK] = ests.std(axis=1, ddof=1)
-        return values, stderrs / math.sqrt(self.n_batches)
+        return self._pi_y_estimates([names])[0]
 
     @functools.cached_property
     def occupancy(self) -> dict[tuple[str, ...], np.ndarray]:
         """Order of agent names -> (batches,) int64 counts, in order of first appearance."""
         names = self.model.agent_names
-        table = self._dense_rows(np.arange(len(self.order_rows)))
+        table = np.zeros((len(self.order_rows), self.n_batches), dtype=np.int64)
+        table[self.entry_rows, self.entry_batches] = self.entry_counts
         return {tuple(map(names.__getitem__, key)): row for key, row in zip(self.order_rows, table)}
-
-    def delay_mean(self, good: str, agent: str) -> Estimate:
-        j, i = self._pair(good, agent)
-        return _ratio_estimate(
-            self.delay_sums[:, j, i].astype(np.float64), self.match_counts[:, j, i]
-        )
-
-    def delay_var(self, good: str, agent: str) -> Estimate:
-        j, i = self._pair(good, agent)
-        m = self.match_counts[:, j, i]
-        total_m = m.sum()
-        if total_m <= 0:
-            return Estimate(math.nan, math.inf)
-        mean = self.delay_sums[:, j, i].sum() / total_m
-        value = float(self.delay_sqs[:, j, i].sum() / total_m - mean * mean)
-        valid = m > 1
-        if valid.sum() < 2:
-            return Estimate(value, math.inf)
-        bm = self.delay_sums[valid, j, i] / m[valid]
-        bv = self.delay_sqs[valid, j, i] / m[valid] - bm * bm
-        stderr = float(bv.std(ddof=1) / math.sqrt(int(valid.sum())))
-        return Estimate(value, stderr)
 
     @property
     def total_matches(self) -> int:
@@ -178,18 +180,11 @@ class SimStats:
         def est(e: Estimate):
             return {"value": round12(e.value), "stderr": round12(e.stderr) if math.isfinite(e.stderr) else None}
 
-        rates = {}
-        delays = {}
-        for j, g in enumerate(self.model.good_names):
-            for i, a in enumerate(self.model.agent_names):
-                if self.match_counts[:, j, i].sum() > 0:
-                    rates[f"{g},{a}"] = est(self.rate(g, a))
-                    delays[f"{g},{a}"] = {
-                        "mean": est(self.delay_mean(g, a)),
-                        "variance": est(self.delay_var(g, a)),
-                    }
+        ests = self._estimates()
+        # an edge that no match reached has no delay mean, and is left out
+        matched = [edge for edge, e in ests["delay_mean"].items() if not math.isnan(e.value)]
         return {
-            "seeds": list(self.seeds),
+            "seeds": [self.seed],
             "n_events": self.n_events,
             "burn_in": self.burn_in,
             "n_batches": self.n_batches,
@@ -198,12 +193,11 @@ class SimStats:
             "final_unmatched": self.final_unmatched,
             "events_post_burn_in": self.events_post_burn_in,
             "empty_state": est(self.b_hat()),
-            "rates": rates,
-            "loss": {g: est(self.loss_rate(g)) for g in self.model.good_names},
-            "delays": delays,
-            "occupancy": {
-                ">".join(key): [int(v) for v in arr] for key, arr in sorted(self.occupancy.items())
-            },
+            "rates": {f"{g},{a}": est(ests["rate"][g, a]) for g, a in matched},
+            "loss": {g: est(e) for g, e in ests["loss"].items()},
+            "delays": {f"{g},{a}": {"mean": est(ests["delay_mean"][g, a]),
+                                    "variance": est(ests["delay_var"][g, a])} for g, a in matched},
+            "occupancy": {">".join(k): a.tolist() for k, a in sorted(self.occupancy.items())},
         }
 
 
@@ -306,7 +300,7 @@ def run(
 
     return SimStats(
         model=model,
-        seeds=(seed,),
+        seed=seed,
         n_events=n_events,
         burn_in=burn_in,
         n_batches=n_batches,
@@ -364,24 +358,13 @@ def compare_with_analytic(model: MatchingModel, stats: SimStats) -> list[VerifyR
         raise DomainError("stats are from a run of a different model")
     report = matching_rates(model)
     delays = delay_moments(model)
-    rows: list[VerifyRow] = []
-
-    est = stats.b_hat()
-    rows.append(VerifyRow("B", report.b, est.value, est.stderr, _z(report.b, est)))
-    for (g, a), r in report.rates.items():
-        e = stats.rate(g, a)
-        rows.append(VerifyRow(f"rate[{g},{a}]", r, e.value, e.stderr, _z(r, e)))
-    for g, r in report.loss.items():
-        e = stats.loss_rate(g)
-        rows.append(VerifyRow(f"loss[{g}]", r, e.value, e.stderr, _z(r, e)))
-    for (g, a), m in delays.pair_mean.items():
-        e = stats.delay_mean(g, a)
-        rows.append(VerifyRow(f"delay_mean[{g},{a}]", m, e.value, e.stderr, _z(m, e)))
-    for (g, a), v in delays.pair_var.items():
-        e = stats.delay_var(g, a)
-        rows.append(VerifyRow(f"delay_var[{g},{a}]", v, e.value, e.stderr, _z(v, e)))
+    ests = stats._estimates()
     above = sorted(_orders_above(model, PI_Y_THRESHOLD).items())
-    values, stderrs = stats._pi_y_rows([order for order, _ in above])
-    for (order, prob), e in zip(above, map(Estimate, values.tolist(), stderrs.tolist())):
-        rows.append(VerifyRow(f"pi_y[{'>'.join(order)}]", prob, e.value, e.stderr, _z(prob, e)))
-    return rows
+    b, *pi_y = stats._pi_y_estimates([()] + [order for order, _ in above])
+    checks = [("B", report.b, b)]
+    checks += [(f"rate[{g},{a}]", r, ests["rate"][g, a]) for (g, a), r in report.rates.items()]
+    checks += [(f"loss[{g}]", r, ests["loss"][g]) for g, r in report.loss.items()]
+    for name, values in (("delay_mean", delays.pair_mean), ("delay_var", delays.pair_var)):
+        checks += [(f"{name}[{g},{a}]", v, ests[name][g, a]) for (g, a), v in values.items()]
+    checks += [(f"pi_y[{'>'.join(order)}]", prob, e) for (order, prob), e in zip(above, pi_y)]
+    return [VerifyRow(q, x, e.value, e.stderr, _z(x, e)) for q, x, e in checks]

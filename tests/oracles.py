@@ -341,3 +341,39 @@ def min_drain(model):
             if good_rate - rate < best:
                 best, names = good_rate - rate, subset
     return best, names
+
+
+def ratio_estimate(num, den):
+    """Batch-means ratio estimate of one (batches,) row, one row at a time:
+    the row's total over den's total, and the standard deviation of the
+    per-batch ratios of the batches with den > 0 over the root of their count.
+    Returns (value, stderr): (nan, inf) when den totals 0, and an infinite
+    stderr below 2 such batches."""
+    total = den.sum()
+    if total <= 0:
+        return math.nan, math.inf
+    value = float(num.sum() / total)
+    valid = den > 0
+    if valid.sum() < 2:
+        return value, math.inf
+    ests = num[valid] / den[valid]
+    return value, float(ests.std(ddof=1) / math.sqrt(int(valid.sum())))
+
+
+def variance_estimate(sums, sqs, m):
+    """Batch-means delay variance of one (batches,) row of m matches whose
+    delays total sums and squares total sqs: the mean square less the squared
+    mean, and the standard deviation of the per-batch variances of the batches
+    with m > 1 over the root of their count. Returns (value, stderr) as
+    ratio_estimate does."""
+    total_m = m.sum()
+    if total_m <= 0:
+        return math.nan, math.inf
+    mean = sums.sum() / total_m
+    value = float(sqs.sum() / total_m - mean * mean)
+    valid = m > 1
+    if valid.sum() < 2:
+        return value, math.inf
+    bm = sums[valid] / m[valid]
+    bv = sqs[valid] / m[valid] - bm * bm
+    return value, float(bv.std(ddof=1) / math.sqrt(int(valid.sum())))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -310,6 +311,28 @@ def test_simulate_is_deterministic(tmp_path, model_file, warm_kernel):
     payload = json.loads(out1.read_text())
     assert payload["n_events"] == 30000
 
+
+def test_simulate_and_verify_report_the_same_estimates(tmp_path, capsys, warm_kernel):
+    # one run read two ways: simulate's JSON and verify's CSV agree on B and
+    # on every rate, loss, delay mean and delay variance, an infinite stderr
+    # (delay_var[s2,c2]) included
+    args = ["--model", _model_path(tmp_path, _rare_c2_model()), "--events", "20000", "--seed", "1"]
+    assert main(["simulate", *args]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert main(["verify", *args, "--z-max", "inf"]) == 5  # delay_var[s2,c2] has no z
+    rows = [line.rsplit(",", 4) for line in capsys.readouterr().out.splitlines()[1:]]
+    verified = {q: (float(value), float(stderr)) for q, _, value, stderr, _ in rows}
+    simulated = {"B": payload["empty_state"]}
+    for name, field in (("rate", "rates"), ("loss", "loss")):
+        simulated |= {f"{name}[{key}]": e for key, e in payload[field].items()}
+    for key, moments in payload["delays"].items():
+        simulated[f"delay_mean[{key}]"] = moments["mean"]
+        simulated[f"delay_var[{key}]"] = moments["variance"]
+    assert simulated.keys() == {q for q in verified if not q.startswith("pi_y[")}
+    assert "delay_var[s2,c2]" in simulated
+    for quantity, e in simulated.items():
+        value, stderr = verified[quantity]
+        assert (e["value"], e["stderr"]) == (value, stderr if math.isfinite(stderr) else None)
 
 def test_verify_exit_codes(tmp_path, capsys, monkeypatch, model_file, warm_kernel):
     args = ["verify", "--model", str(model_file), "--events", "200000",

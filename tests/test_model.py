@@ -400,6 +400,22 @@ def test_load_model_rejects_unreadable_files(tmp_path):
             load_model(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "cannot read model file: "),
+    ("{not json", "invalid JSON: "),
+    (json.dumps({"agents": []}), "malformed model data: "),
+])
+def test_load_failures_are_plain_validation_issues(tmp_path, text, message):
+    # no identifier is involved, so none of the three is an UnknownIdentifier
+    path = tmp_path / "m.json"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    with pytest.raises(ModelValidationError) as caught:
+        load_model(path)
+    [issue] = caught.value.issues
+    assert type(issue) is ValidationIssue
+    assert str(issue).startswith(message)
+
 FIELDS = dict(agent_types=(("c", 1.0),), good_types=(("s", 1.0),),
               edges=frozenset({("s", "c")}), lambda_bar=0.5, mu_bar=1.0)
 

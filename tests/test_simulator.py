@@ -18,9 +18,10 @@ from fcfs_match import (
 )
 from fcfs_match import _kernel, simulator
 from fcfs_match.errors import DomainError, DuplicateType, UnknownIdentifier
-from fcfs_match.simulator import _z, run
+from fcfs_match.simulator import _batch_means, _batch_variances, _z, run
 
 from conftest import make_example3x3, random_stable_model
+from oracles import ratio_estimate, variance_estimate
 from reference_dynamics import (
     AGENT,
     GOOD,
@@ -457,6 +458,59 @@ def test_to_json_dict_shape(example3x3, warm_kernel):
     assert set(payload["loss"]) == {"s1", "s2", "s3"}
     assert "s3,c2" in payload["rates"]
     assert "" in payload["occupancy"] or "(empty)" not in payload["occupancy"]
+
+
+def _eight_agent_types_model():
+    """The first draw with 8 agent types."""
+    rng = np.random.default_rng(0)
+    while True:
+        model = random_stable_model(rng, max_agents=8, max_goods=8, rho_cap=0.95)
+        if model.n_agent_types == 8:
+            return model
+
+
+def test_row_estimates_match_per_row_reference():
+    # at 2e4 events most edges of an 8-type model have a batch with fewer than
+    # 2 matches, so their delay rows are masked: a masked row's stderr may
+    # differ from the per-row reference in the last bit, every other figure
+    # must equal it
+    model = _eight_agent_types_model()
+    stats = run(model, 20_000, seed=1)
+    ests = stats._estimates()
+    masked = 0
+    for (g, a), rate in ests["rate"].items():
+        j, i = model.good_index[g], model.agent_index[a]
+        m, sums, sqs = (c[:, j, i] for c in (stats.match_counts, stats.delay_sums, stats.delay_sqs))
+        for est, ref, full in (
+            (rate, ratio_estimate(m, stats.goods_counts), (stats.goods_counts > 0).all()),
+            (ests["delay_mean"][g, a], ratio_estimate(sums.astype(np.float64), m), (m > 0).all()),
+            (ests["delay_var"][g, a], variance_estimate(sums, sqs, m), (m > 1).all()),
+        ):
+            assert est.value == ref[0]
+            if full:
+                assert est.stderr == ref[1]
+            else:
+                assert est.stderr == pytest.approx(ref[1], rel=1e-15, abs=0)
+                masked += 1
+    assert masked > len(ests["rate"])
+    for g, loss in ests["loss"].items():
+        assert loss == ratio_estimate(stats.loss_counts[:, model.good_index[g]], stats.goods_counts)
+    assert stats.b_hat() == ratio_estimate(stats.occupancy[()], stats.events_counts)
+    for order, counts in list(stats.occupancy.items())[:100]:
+        assert stats.pi_y(order) == ratio_estimate(counts, stats.events_counts)
+
+
+@pytest.mark.parametrize("matches, mean, var", [(0, math.nan, math.nan), (2, 3.0, 1.0)])
+def test_row_estimates_without_two_batches(matches, mean, var):
+    # delays 2 and 4 in one batch of four give a value with an infinite
+    # stderr, and no match at all gives (nan, inf), as in the per-row reference
+    m = np.array([[0, matches, 0, 0]])
+    sums, sqs = m * 3, m * 10.0
+    got = [_batch_means(sums, m), _batch_variances(sums, sqs, m)]
+    refs = [ratio_estimate(sums[0], m[0]), variance_estimate(sums[0], sqs[0], m[0])]
+    for (values, stderrs), ref, value in zip(got, refs, (mean, var)):
+        assert np.array_equal([values[0], stderrs[0]], [value, math.inf], equal_nan=True)
+        assert np.array_equal(ref, [value, math.inf], equal_nan=True)
 
 
 # --- exchange transform and reversed-time matching ---
