@@ -8,6 +8,9 @@ queue's oldest agent (the type moves back by its new head, or leaves). An
 arriving good matches the first type in that order it is compatible with,
 which is the earliest-arrived compatible agent. Occupancy of each order is
 tallied as run lengths between changes, at every agent-type count.
+Matches, delays and squared delays are counted per edge, in model.edge_list
+order, and losses per good type; every good is matched or lost, so a batch's
+goods are its matches plus its losses.
 
 Events arrive as integer codes: t < n_agent is an agent of type t, and
 n_agent + j is a good of type j. simulator.run derives them from the
@@ -25,27 +28,27 @@ SLICE = 8_192  # events coded and converted to Python ints at a time
 
 
 class BatchTally:
-    """Counters of one batch; pair (good j, agent i) sits at j * n_agents + i."""
+    """Counters of one batch: one per edge, in model.edge_list order, for the
+    matches, delays and squared delays, and one per good type for the losses."""
 
-    __slots__ = ("match_counts", "delay_sums", "delay_sqs", "loss_counts", "goods", "occupancy")
+    __slots__ = ("match_counts", "delay_sums", "delay_sqs", "loss_counts", "occupancy")
 
-    def __init__(self, n_good: int, n_agent: int):
-        pairs = n_good * n_agent
-        self.match_counts = [0] * pairs
-        self.delay_sums = [0] * pairs
-        self.delay_sqs = [0.0] * pairs
+    def __init__(self, n_edge: int, n_good: int):
+        self.match_counts = [0] * n_edge
+        self.delay_sums = [0] * n_edge
+        self.delay_sqs = [0.0] * n_edge
         self.loss_counts = [0] * n_good
-        self.goods = 0
         # order (tuple of type indices) -> events that ended with that order
         self.occupancy: dict[tuple[int, ...], int] = {}
 
 
-def sim_slice(codes, n, n_agent, compat, queues, order, tally):
+def sim_slice(codes, n, n_agent, edge_of, queues, order, tally):
     """Process the events n, n+1, ... given by the int list codes.
 
-    compat[j][i] tells whether good type j serves agent type i. queues and
-    order are mutated in place and carry over to the next slice; counters go
-    to tally. Returns the number of agents that arrived.
+    edge_of[j][i] is the index of the edge (good type j, agent type i), or
+    None where j does not serve i. queues and order are mutated in place and
+    carry over to the next slice; counters go to tally. Returns the number of
+    agents that arrived.
     """
     mc = tally.match_counts
     ds = tally.delay_sums
@@ -66,15 +69,15 @@ def sim_slice(codes, n, n_agent, compat, queues, order, tally):
                 changed = True
         else:
             j = c - n_agent
-            row = compat[j]
+            row = edge_of[j]
             for k, i in enumerate(order):
-                if row[i]:
+                e = row[i]
+                if e is not None:
                     q = queues[i]
                     d = n - q.popleft()
-                    p = j * n_agent + i
-                    mc[p] += 1
-                    ds[p] += d
-                    dq[p] += float(d * d)
+                    mc[e] += 1
+                    ds[e] += d
+                    dq[e] += float(d * d)
                     if q:
                         head = q[0]
                         end = len(order)
@@ -99,5 +102,4 @@ def sim_slice(codes, n, n_agent, compat, queues, order, tally):
         n += 1
     if n > run_start:
         occ[key] = occ.get(key, 0) + n - run_start
-    tally.goods += len(codes) - agents
     return agents

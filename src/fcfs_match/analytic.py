@@ -114,14 +114,13 @@ class _SubsetTable(NamedTuple):
     prefixes' lambda_k / theta; so the orders extending an order P of the set T
     weigh weight(P) * F0(T) in total, and B = 1 / F0(empty set).
 
-    edges maps every compatibility edge (good, agent), goods in declared order
-    and then agents in declared order, to (rate, raw, de, de2): its matching
-    rate B * (mu_good / mu_bar) * raw, its first-compatible credit sum raw,
-    and the delay-moment sums (position counts) weight * E[D] and weight *
-    E[D^2] given the order. Every rate is positive: the builder refuses a
-    model with a zero-rate edge. The table keeps no wait sums:
-    delays.delay_moments derives the wait values from the delay values
-    through Lambda = lambda_bar + mu_bar.
+    edges maps every compatibility edge (good, agent), in model.edge_list
+    order, to (rate, raw, de, de2): its matching rate B * (mu_good / mu_bar)
+    * raw, its first-compatible credit sum raw, and the delay-moment sums
+    (position counts) weight * E[D] and weight * E[D^2] given the order.
+    Every rate is positive: the builder refuses a model with a zero-rate edge.
+    The table keeps no wait sums: delays.delay_moments derives the wait values
+    from the delay values through Lambda = lambda_bar + mu_bar.
     """
 
     b: float
@@ -185,16 +184,16 @@ def _subset_table(model: MatchingModel) -> _SubsetTable:
         d2[t] = (2.0 - p) * a * a * s0 + 2.0 * a * sd1 + sd2
 
     b = 1.0 / f0[0]
+    sums = [_first_match_sums(model, w, theta, j, (f0, d1, d2)) for j in range(model.n_good_types)]
     edges = {}
-    for j, g in enumerate(model.good_names):
-        raw, de, de2 = _first_match_sums(model, w, theta, j, (f0, d1, d2))
-        for i, a in enumerate(model.agent_names):
-            if model.is_edge(g, a):
-                rate = b * (model.good_rates[j] / model.mu_bar) * raw[i]
-                if not rate > 0.0:
-                    raise ZeroRate(f"edge {(g, a)!r} has matching rate {rate!r}: the rate "
-                                   f"underflows a float, and the pair's delay is undefined")
-                edges[(g, a)] = (rate, raw[i], de[i], de2[i])
+    for g, a in model.edge_list:
+        j, i = model.good_index[g], model.agent_index[a]
+        raw, de, de2 = sums[j]
+        rate = b * (model.good_rates[j] / model.mu_bar) * raw[i]
+        if not rate > 0.0:
+            raise ZeroRate(f"edge {(g, a)!r} has matching rate {rate!r}: the rate "
+                           f"underflows a float, and the pair's delay is undefined")
+        edges[(g, a)] = (rate, raw[i], de[i], de2[i])
     return _SubsetTable(b, theta, w, f0, edges)
 
 

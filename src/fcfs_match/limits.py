@@ -14,10 +14,11 @@ from .model import MatchingModel, check_stability, max_stable_rho
 class LightTrafficLimit(NamedTuple):
     """Vanishing-traffic limits: each agent is served by the first compatible good.
 
-    theta maps each edge (good, agent) to the limiting conditional fraction
-    mu_good / mu_{S(agent)}, which is exact and normalization-free. rates
-    scales theta by the agent frequency (the limit of the per-pair rate under
-    the convention that almost all goods are lost as traffic vanishes).
+    theta maps each edge (good, agent), in model.edge_list order, to the
+    limiting conditional fraction mu_good / mu_{S(agent)}, which is exact and
+    normalization-free. rates scales theta by the agent frequency (the limit
+    of the per-pair rate under the convention that almost all goods are lost
+    as traffic vanishes).
     """
 
     rates: dict[tuple[str, str], float]
@@ -25,15 +26,10 @@ class LightTrafficLimit(NamedTuple):
 
 
 def light_traffic_rates(model: MatchingModel) -> LightTrafficLimit:
-    rates: dict[tuple[str, str], float] = {}
-    theta: dict[tuple[str, str], float] = {}
-    for i, (a, alpha_i) in enumerate(model.agent_types):
-        mu_nbhd = model.subset_from_mask("good", model.goods_of_agent[i]).rate
-        for j, g in enumerate(model.good_names):
-            if model.is_edge(g, a):
-                frac = model.good_rates[j] / mu_nbhd
-                theta[(g, a)] = frac
-                rates[(g, a)] = alpha_i * frac
+    mu_nbhd = [model.subset_from_mask("good", mask).rate for mask in model.goods_of_agent]
+    theta = {(g, a): model.good_rates[model.good_index[g]] / mu_nbhd[model.agent_index[a]]
+             for g, a in model.edge_list}
+    rates = {(g, a): model.alpha[model.agent_index[a]] * frac for (g, a), frac in theta.items()}
     return LightTrafficLimit(rates=rates, theta=theta)
 
 

@@ -186,6 +186,12 @@ class MatchingModel(_Record):
         return tuple(self.mu_bar * b for b in self.beta)
 
     @functools.cached_property
+    def edge_list(self) -> tuple[tuple[str, str], ...]:
+        """The edges (good, agent), goods in declared order and then agents in
+        declared order: the order of every per-edge report, table and counter."""
+        return tuple(sorted(self.edges, key=lambda e: (self.good_index[e[0]], self.agent_index[e[1]])))
+
+    @functools.cached_property
     def goods_of_agent(self) -> tuple[int, ...]:
         """Bitmask over good indices compatible with each agent type."""
         masks = [0] * len(self.agent_types)

@@ -93,11 +93,10 @@ class SimStats:
     n_events: int
     burn_in: int
     n_batches: int
-    match_counts: np.ndarray  # (batches, goods, agents) int64
+    match_counts: np.ndarray  # (batches, edges) int64, edges in model.edge_list order
     loss_counts: np.ndarray  # (batches, goods) int64
-    delay_sums: np.ndarray  # (batches, goods, agents) int64
-    delay_sqs: np.ndarray  # (batches, goods, agents) float64
-    goods_counts: np.ndarray  # (batches,) int64
+    delay_sums: np.ndarray  # (batches, edges) int64
+    delay_sqs: np.ndarray  # (batches, edges) float64
     events_counts: np.ndarray  # (batches,) int64
     # occupancy entries, one per (order, batch) cell with events in it, batch
     # after batch; each (entries,) int64: the order's row, the batch, the events
@@ -114,15 +113,13 @@ class SimStats:
     def _estimates(self) -> dict[str, dict]:
         """Every edge's rate, delay_mean and delay_var and every good's loss,
         keyed by edge or good: one batch-means call per family."""
-        model = self.model
-        edges = [(g, a) for g in model.good_names for a in model.agent_names if model.is_edge(g, a)]
-        j, i = zip(*((model.good_index[g], model.agent_index[a]) for g, a in edges))
-        m, sums, sqs = (c[:, j, i].T for c in (self.match_counts, self.delay_sums, self.delay_sqs))
-        families = {"rate": _batch_means(m, self.goods_counts), "delay_mean": _batch_means(sums, m),
+        goods = self.goods_counts
+        m, sums, sqs = self.match_counts.T, self.delay_sums.T, self.delay_sqs.T
+        families = {"rate": _batch_means(m, goods), "delay_mean": _batch_means(sums, m),
                     "delay_var": _batch_variances(sums, sqs, m)}
-        estimates = {name: dict(zip(edges, _listed(f))) for name, f in families.items()}
-        loss = _batch_means(self.loss_counts.T, self.goods_counts)
-        return {**estimates, "loss": dict(zip(model.good_names, _listed(loss)))}
+        estimates = {name: dict(zip(self.model.edge_list, _listed(f))) for name, f in families.items()}
+        loss = _batch_means(self.loss_counts.T, goods)
+        return {**estimates, "loss": dict(zip(self.model.good_names, _listed(loss)))}
 
     def _pi_y_estimates(self, orders) -> list[Estimate]:
         """pi_y of each of a list of distinct valid orders of agent names, the empty
@@ -159,6 +156,11 @@ class SimStats:
         table = np.zeros((len(self.order_rows), self.n_batches), dtype=np.int64)
         table[self.entry_rows, self.entry_batches] = self.entry_counts
         return {tuple(map(names.__getitem__, key)): row for key, row in zip(self.order_rows, table)}
+
+    @property
+    def goods_counts(self) -> np.ndarray:
+        """(batches,) int64 goods per batch: every good is matched or lost."""
+        return self.match_counts.sum(axis=1) + self.loss_counts.sum(axis=1)
 
     @property
     def total_matches(self) -> int:
@@ -210,11 +212,13 @@ def run(
     """Simulate n_events items from the empty state and tally outcomes.
 
     Statistics ignore the first burn_in events and split the rest into BATCHES
-    batches. The uniform stream is numpy's default generator read as
-    rng.random((2, m)) per chunk of m = _kernel.CHUNK items (the last chunk
-    shorter): a row of kind uniforms, then a row of type uniforms, so identical
-    arguments give bit-identical stats. The rows are drawn a slice at a time,
-    never a whole chunk.
+    batches. Matches, delays and squared delays are counted per edge, in
+    model.edge_list order, and losses per good type; a batch's goods are its
+    matches plus its losses. The uniform stream is numpy's default generator
+    read as rng.random((2, m)) per chunk of m = _kernel.CHUNK items (the last
+    chunk shorter): a row of kind uniforms, then a row of type uniforms, so
+    identical arguments give bit-identical stats. The rows are drawn a slice at
+    a time, never a whole chunk.
     """
     _stable_scan(model)  # refuses an unstable model
     if burn_in is None:  # one percent of the run, at least 10^4, but below the run length
@@ -236,29 +240,24 @@ def run(
     # bisect_right(beta_cum[:-1], u_type); searchsorted side="right" is the same
     alpha_edges = np.cumsum(np.asarray(model.alpha))[:-1]
     beta_edges = np.cumsum(np.asarray(model.beta))[:-1]
-    compat = [[False] * n_agent for _ in range(n_good)]
-    for g, a in model.edges:
-        compat[model.good_index[g]][model.agent_index[a]] = True
+    edge_of = [[None] * n_agent for _ in range(n_good)]
+    for e, (g, a) in enumerate(model.edge_list):
+        edge_of[model.good_index[g]][model.agent_index[a]] = e
     p_agent = model.lambda_bar / model.total_rate
 
     queues = [deque() for _ in range(n_agent)]
     order: list[int] = []
-    match_counts = np.zeros((n_batches, n_good, n_agent), dtype=np.int64)
-    loss_counts = np.zeros((n_batches, n_good), dtype=np.int64)
-    delay_sums = np.zeros((n_batches, n_good, n_agent), dtype=np.int64)
-    delay_sqs = np.zeros((n_batches, n_good, n_agent), dtype=np.float64)
-    goods_counts = np.zeros(n_batches, dtype=np.int64)
-    events_counts = np.zeros(n_batches, dtype=np.int64)
+    tallies: list[_kernel.BatchTally] = []  # of the counted batches, their occupancy merged
     # occupancy entries of all batches, batch after batch: order row and count
     order_rows: dict[tuple[int, ...], int] = {}
     entry_rows: list[int] = []
     entry_counts: list[int] = []
     batch_entries: list[int] = []
 
-    # event n >= burn_in falls in batch (n - burn_in) * n_batches // span
+    # event n >= burn_in falls in batch (n - burn_in) * n_batches // span; the
+    # burn-in ends at starts[0] and batch b at starts[b + 1]
     span = n_events - burn_in
     starts = [burn_in + -(-b * span // n_batches) for b in range(n_batches + 1)]
-    segments = [(0, burn_in, None)] + [(starts[b], starts[b + 1], b) for b in range(n_batches)]
 
     # one generator reads each row; at a chunk's start the kind generator
     # skips the previous chunk's type row and the type generator this chunk's
@@ -267,8 +266,8 @@ def run(
     type_rng = np.random.default_rng(seed)
     total_agents = 0
     m = pos = chunk_end = 0
-    for lo, hi, b in segments:
-        tally = _kernel.BatchTally(n_good, n_agent)
+    for hi in starts:
+        tally = _kernel.BatchTally(len(model.edge_list), n_good)
         while pos < hi:
             if pos == chunk_end:
                 kind_rng.bit_generator.advance(m)
@@ -283,20 +282,16 @@ def run(
                 n_agent + np.searchsorted(beta_edges, u_type, side="right"),
             )
             total_agents += _kernel.sim_slice(
-                codes.tolist(), pos, n_agent, compat, queues, order, tally
+                codes.tolist(), pos, n_agent, edge_of, queues, order, tally
             )
             pos = end
-        if b is None:
-            continue
-        match_counts[b] = np.reshape(tally.match_counts, (n_good, n_agent))
-        delay_sums[b] = np.reshape(tally.delay_sums, (n_good, n_agent))
-        delay_sqs[b] = np.reshape(tally.delay_sqs, (n_good, n_agent))
-        loss_counts[b] = tally.loss_counts
-        goods_counts[b] = tally.goods
-        events_counts[b] = hi - lo
+        if hi == burn_in:
+            continue  # the burn-in
+        tallies.append(tally)
         entry_rows += [order_rows.setdefault(key, len(order_rows)) for key in tally.occupancy]
         entry_counts += tally.occupancy.values()
         batch_entries.append(len(tally.occupancy))
+        tally.occupancy.clear()
 
     return SimStats(
         model=model,
@@ -304,12 +299,11 @@ def run(
         n_events=n_events,
         burn_in=burn_in,
         n_batches=n_batches,
-        match_counts=match_counts,
-        loss_counts=loss_counts,
-        delay_sums=delay_sums,
-        delay_sqs=delay_sqs,
-        goods_counts=goods_counts,
-        events_counts=events_counts,
+        match_counts=np.array([t.match_counts for t in tallies], dtype=np.int64),
+        delay_sums=np.array([t.delay_sums for t in tallies], dtype=np.int64),
+        delay_sqs=np.array([t.delay_sqs for t in tallies], dtype=np.float64),
+        loss_counts=np.array([t.loss_counts for t in tallies], dtype=np.int64),
+        events_counts=np.diff(starts),
         entry_rows=np.array(entry_rows, dtype=np.int64),
         entry_batches=np.repeat(np.arange(len(batch_entries)), batch_entries),
         entry_counts=np.array(entry_counts, dtype=np.int64),

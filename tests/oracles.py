@@ -21,6 +21,13 @@ enumerate_terms, check the subset table term by term:
 * mixture_value: the pair-delay generating-function sums, by a recursive walk
   that multiplies the stage factors from the match position onward.
 
+Little's law checks the agent-level waits through the occupancy side of the
+subset table, with no delay pass:
+
+* little_agent_counts: the mean number of waiting agents of each type, from
+  the table's B, W, F0 and theta alone, and the total probability of the
+  waiting sets.
+
 One brute-force pass over agent subsets checks model.py's per-mask sums:
 
 * stability_checks: check_stability, check_crp and max_stable_rho, each subset
@@ -341,6 +348,29 @@ def min_drain(model):
             if good_rate - rate < best:
                 best, names = good_rate - rate, subset
     return best, names
+
+
+def little_agent_counts(model):
+    """Mean number E[N_a] of waiting agents of each type a, and the sum of
+    B * W(T) over all agent sets T, from the subset table's b, w, f0 and theta.
+
+    B * W(T) is the probability that the set of waiting types is exactly T, so
+    the sets sum to 1. The orders whose prefix set passes T weigh B * W(T) *
+    F0(T) in total, and while the prefix set is T the type-a agents behind it
+    number Geom with mean lambda_a / theta(T); the first type-a agent adds one
+    whenever a is in the final set. So
+
+        E[N_a] = sum over T containing a of B * W(T) * (F0(T) * lambda_a / theta(T) + 1),
+
+    which Little's law sets equal to lambda_a times the mean wait of type a.
+    """
+    table = model.subset_table
+    b, w, f0, theta = table.b, table.w, table.f0, table.theta
+    counts = {}
+    for i, (a, lam) in enumerate(zip(model.agent_names, model.agent_rates)):
+        counts[a] = math.fsum(b * w[t] * (f0[t] * lam / theta[t] + 1.0)
+                              for t in range(len(w)) if t >> i & 1)
+    return counts, math.fsum(b * x for x in w)
 
 
 def ratio_estimate(num, den):

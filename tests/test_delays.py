@@ -1,18 +1,23 @@
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fcfs_match import (
     DomainError,
+    MatchingModel,
     UnstableModel,
     ZeroRate,
     delay_moments,
     delay_pgf,
     geometric_stage,
     matching_rates,
+    max_stable_rho,
     min_stage_rate,
     wait_mgf,
     wait_moments,
@@ -20,7 +25,7 @@ from fcfs_match import (
 from fcfs_match.errors import DuplicateType, UnknownIdentifier
 
 from conftest import make_example3x3, make_single_pair, random_stable_model
-from oracles import min_drain
+from oracles import little_agent_counts, min_drain
 
 # Published delay/wait tables of the 3x3 example at rho = 0.7, 2-decimal.
 # Two cells of the published pair table are internally inconsistent with the
@@ -125,6 +130,38 @@ def test_agent_moments_are_theta_mixtures(example3x3):
             for g, w in dist.items()
         )
         assert report.agent_var[agent] == pytest.approx(second - mixed**2, abs=1e-9)
+
+
+def _verify_wide() -> MatchingModel:
+    """The benchmark's verify-wide model: I = J = 8, edge density about 0.4."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look the module up by name
+    spec.loader.exec_module(workloads)
+    return MatchingModel.from_json_dict(workloads.random_model("verify-wide"))
+
+
+def _little_models():
+    example = make_example3x3()
+    near_limit = make_example3x3(lambda_bar=0.999 * max_stable_rho(example).value)
+    rng = np.random.default_rng(53)
+    sizes = {}  # one random model per agent-type count reached, up to 14
+    while len(sizes) < 6 or 14 not in sizes:
+        model = random_stable_model(rng, max_agents=14, max_goods=6, rho_cap=0.95)
+        sizes.setdefault(model.n_agent_types, model)
+    return [example, near_limit, _verify_wide(), make_single_pair(), *sizes.values()]
+
+
+def test_littles_law_agent_means():
+    # E[N_a] from the occupancy of the waiting sets equals lambda_a E[W_a] from
+    # the delay completions and first-match sums, which the oracle does not read
+    for model in _little_models():
+        counts, total = little_agent_counts(model)
+        assert total == pytest.approx(1.0, rel=1e-12, abs=0)
+        waits = wait_moments(model).agent_mean
+        for a, lam in zip(model.agent_names, model.agent_rates):
+            assert counts[a] == pytest.approx(lam * waits[a], rel=1e-12, abs=0), (model, a)
 
 
 def test_moment_positivity_random_models():

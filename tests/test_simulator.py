@@ -12,6 +12,8 @@ from fcfs_match import (
     UnstableModel,
     analytic_pi_y,
     compare_with_analytic,
+    delay_moments,
+    light_traffic_rates,
     matching_rates,
     normalizing_constant,
     pi_y_perm,
@@ -161,11 +163,13 @@ def test_kernel_agrees_with_reference_implementation(example3x3, warm_kernel):
         delay_sums[pair] += g - a
     loss_counts = Counter(window.items[i].type_name for i in window.lost)
 
+    # the reference matches only along edges, so the edge columns hold every match
+    assert set(match_counts) <= example3x3.edges
     for j, g in enumerate(example3x3.good_names):
         assert stats.loss_counts[:, j].sum() == loss_counts.get(g, 0)
-        for i, a in enumerate(example3x3.agent_names):
-            assert stats.match_counts[:, j, i].sum() == match_counts.get((g, a), 0)
-            assert stats.delay_sums[:, j, i].sum() == delay_sums.get((g, a), 0)
+    for e, edge in enumerate(example3x3.edge_list):
+        assert stats.match_counts[:, e].sum() == match_counts.get(edge, 0)
+        assert stats.delay_sums[:, e].sum() == delay_sums.get(edge, 0)
     assert stats.final_unmatched == len(window.open_agents)
 
 
@@ -233,14 +237,16 @@ def _reference_orders(model, n_events, seed, chunk=None):
 
 def _reference_counters(model, orders, events, burn_in, n_batches):
     """run()'s counters and per-batch occupancy, tallied item by item from
-    _reference_orders; delays are squared as floats in event order."""
+    _reference_orders; delays are squared as floats in event order. Match and
+    delay counters are per edge, in model.edge_list order."""
     n = len(events)
-    pairs = (n_batches, model.n_good_types, model.n_agent_types)
+    edges = (n_batches, len(model.edge_list))
+    edge_index = {edge: e for e, edge in enumerate(model.edge_list)}
     c = {
-        "match_counts": np.zeros(pairs, dtype=np.int64),
-        "loss_counts": np.zeros(pairs[:2], dtype=np.int64),
-        "delay_sums": np.zeros(pairs, dtype=np.int64),
-        "delay_sqs": np.zeros(pairs, dtype=np.float64),
+        "match_counts": np.zeros(edges, dtype=np.int64),
+        "loss_counts": np.zeros((n_batches, model.n_good_types), dtype=np.int64),
+        "delay_sums": np.zeros(edges, dtype=np.int64),
+        "delay_sqs": np.zeros(edges, dtype=np.float64),
         "goods_counts": np.zeros(n_batches, dtype=np.int64),
         "events_counts": np.zeros(n_batches, dtype=np.int64),
     }
@@ -257,10 +263,10 @@ def _reference_counters(model, orders, events, burn_in, n_batches):
         if isinstance(event, Lost):
             c["loss_counts"][b, j] += 1
             continue
-        i = model.agent_index[event.agent_type]
-        c["match_counts"][b, j, i] += 1
-        c["delay_sums"][b, j, i] += event.delay
-        c["delay_sqs"][b, j, i] += float(event.delay) * float(event.delay)
+        e = edge_index[event.good_type, event.agent_type]
+        c["match_counts"][b, e] += 1
+        c["delay_sums"][b, e] += event.delay
+        c["delay_sqs"][b, e] += float(event.delay) * float(event.delay)
     c["total_agents"] = sum(isinstance(event, Queued) for event in events)
     c["total_goods"] = n - c["total_agents"]
     return c, dict(occupancy)
@@ -446,6 +452,24 @@ def test_compare_with_analytic_rows(example3x3, warm_kernel):
     assert len(finite) == len(rows)
 
 
+@pytest.mark.parametrize("which", ["example3x3", "random"])
+def test_every_edge_family_follows_the_model_edge_list(example3x3, which, warm_kernel):
+    # one order of the edges, set by the model: goods in declared order, then
+    # agents in declared order; every per-edge report and estimate keeps it
+    model = example3x3 if which == "example3x3" else _random_multi_type_model()
+    edges = list(model.edge_list)
+    if which == "example3x3":
+        assert edges == [("s1", "c1"), ("s1", "c2"), ("s2", "c1"), ("s2", "c3"),
+                         ("s3", "c2"), ("s3", "c3")]
+    limit = light_traffic_rates(model)
+    families = [matching_rates(model).rates, delay_moments(model).pair_mean, limit.rates,
+                limit.theta]
+    ests = run(model, 5_000, seed=2, burn_in=500)._estimates()
+    families += [ests[name] for name in ("rate", "delay_mean", "delay_var")]
+    for family in families:
+        assert list(family) == edges
+
+
 def test_loss_rate_unknown_good_raises(warm_kernel):
     with pytest.raises(UnknownIdentifier):
         warm_kernel.loss_rate("zz")
@@ -478,11 +502,10 @@ def test_row_estimates_match_per_row_reference():
     stats = run(model, 20_000, seed=1)
     ests = stats._estimates()
     masked = 0
-    for (g, a), rate in ests["rate"].items():
-        j, i = model.good_index[g], model.agent_index[a]
-        m, sums, sqs = (c[:, j, i] for c in (stats.match_counts, stats.delay_sums, stats.delay_sqs))
+    for e, (g, a) in enumerate(model.edge_list):
+        m, sums, sqs = (c[:, e] for c in (stats.match_counts, stats.delay_sums, stats.delay_sqs))
         for est, ref, full in (
-            (rate, ratio_estimate(m, stats.goods_counts), (stats.goods_counts > 0).all()),
+            (ests["rate"][g, a], ratio_estimate(m, stats.goods_counts), (stats.goods_counts > 0).all()),
             (ests["delay_mean"][g, a], ratio_estimate(sums.astype(np.float64), m), (m > 0).all()),
             (ests["delay_var"][g, a], variance_estimate(sums, sqs, m), (m > 1).all()),
         ):
