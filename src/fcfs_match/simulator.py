@@ -150,12 +150,15 @@ class SimStats:
         return self._pi_y_estimates([names])[0]
 
     @functools.cached_property
-    def occupancy(self) -> dict[tuple[str, ...], np.ndarray]:
-        """Order of agent names -> (batches,) int64 counts, in order of first appearance."""
+    def occupancy(self) -> dict[tuple[str, ...], dict[int, int]]:
+        """Order of agent names -> {batch: events} over the batches with events in
+        that order: orders by first appearance, batches ascending."""
         names = self.model.agent_names
-        table = np.zeros((len(self.order_rows), self.n_batches), dtype=np.int64)
-        table[self.entry_rows, self.entry_batches] = self.entry_counts
-        return {tuple(map(names.__getitem__, key)): row for key, row in zip(self.order_rows, table)}
+        cells = [{} for _ in self.order_rows]
+        entries = zip(self.entry_rows.tolist(), self.entry_batches.tolist(), self.entry_counts.tolist())
+        for row, batch, count in entries:
+            cells[row][batch] = count
+        return {tuple(map(names.__getitem__, key)): c for key, c in zip(self.order_rows, cells)}
 
     @property
     def goods_counts(self) -> np.ndarray:
@@ -199,7 +202,8 @@ class SimStats:
             "loss": {g: est(e) for g, e in ests["loss"].items()},
             "delays": {f"{g},{a}": {"mean": est(ests["delay_mean"][g, a]),
                                     "variance": est(ests["delay_var"][g, a])} for g, a in matched},
-            "occupancy": {">".join(k): a.tolist() for k, a in sorted(self.occupancy.items())},
+            "occupancy": {">".join(k): {str(b): n for b, n in cells.items()}
+                          for k, cells in sorted(self.occupancy.items())},
         }
 
 

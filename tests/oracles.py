@@ -28,6 +28,13 @@ subset table, with no delay pass:
   the table's B, W, F0 and theta alone, and the total probability of the
   waiting sets.
 
+* little_agent_factorial_moments: E[N_a (N_a - 1)] of each type's number of
+  waiting agents, by a backward pass over the sets like the delay
+  completions, from B, F0 and theta.
+
+* little_agent_pgf: E[z^N_a], by the same backward pass with the stage
+  generating functions in place of the moments.
+
 One brute-force pass over agent subsets checks model.py's per-mask sums:
 
 * stability_checks: check_stability, check_crp and max_stable_rho, each subset
@@ -371,6 +378,81 @@ def little_agent_counts(model):
         counts[a] = math.fsum(b * w[t] * (f0[t] * lam / theta[t] + 1.0)
                               for t in range(len(w)) if t >> i & 1)
     return counts, math.fsum(b * x for x in w)
+
+
+def _stage_means(model, i):
+    """Per agent set T, the mean m_T = lambda_i / theta(T) of the Geom0 number of
+    type-i agents behind the prefix set T, and 0 when i is not in T."""
+    theta = model.subset_table.theta
+    lam = model.agent_rates[i]
+    return [lam / theta[t] if t >> i & 1 else 0.0 for t in range(len(theta))]
+
+
+def little_agent_factorial_moments(model):
+    """E[N_a (N_a - 1)] of the number N_a of waiting agents of each type a, from
+    the subset table's b, f0 and theta alone.
+
+    Given the first-appearance order, N_a is 0 when a is not in it, and else
+    1 + S with S the sum over the prefix sets T containing a of independent
+    Geom0 counts of mean m_T = lambda_a / theta(T). So N_a (N_a - 1) = 2 S +
+    S (S - 1), and a Geom0 count X of mean m has E[X (X - 1)] = 2 m^2. With
+    c_k = lambda_k / theta(T+k) and m_T = 0 when a is not in T, the backward
+    pass
+
+        G1(T) = m_T F0(T) + sum_k c_k G1(T+k),
+        G2(T) = 2 m_T^2 F0(T) + 2 m_T sum_k c_k G1(T+k) + sum_k c_k G2(T+k)
+
+    sums weight * E[S] and weight * E[S (S - 1)] over the continuations of T,
+    as d1 and d2 sum the delay moments. B (2 G1 + G2) at the empty set is
+    E[N_a (N_a - 1)], which Little's law in distribution sets equal to
+    lambda_a^2 E[W_a^2].
+    """
+    table = model.subset_table
+    theta, f0 = table.theta, table.f0
+    bits = [(1 << k, lam_k) for k, lam_k in enumerate(model.agent_rates)]
+    moments = {}
+    for i, a in enumerate(model.agent_names):
+        m = _stage_means(model, i)
+        g1, g2 = [0.0] * len(theta), [0.0] * len(theta)
+        for t in range(len(theta) - 1, -1, -1):
+            s1 = s2 = 0.0
+            for bit, lam_k in bits:
+                if not t & bit:
+                    c = lam_k / theta[t | bit]
+                    s1 += c * g1[t | bit]
+                    s2 += c * g2[t | bit]
+            g1[t] = m[t] * f0[t] + s1
+            g2[t] = 2.0 * m[t] * m[t] * f0[t] + 2.0 * m[t] * s1 + s2
+        moments[a] = table.b * (2.0 * g1[0] + g2[0])
+    return moments
+
+
+def little_agent_pgf(model, a, z):
+    """E[z^N_a] of the number N_a of waiting agents of type a, for z in [0, 1],
+    from the subset table's b and theta alone.
+
+    Given the order, z^N_a is 1 when a is not in it, and else z times the
+    product over the prefix sets T containing a of the Geom0 generating
+    function phi_T = 1 / (1 + m_T (1 - z)), m_T = lambda_a / theta(T). So
+
+        H(T) = phi_T (1 + sum_k c_k z^[k = a] H(T+k)),
+
+    phi_T = 1 when a is not in T, sums weight * E[z^N_a] over the
+    continuations of T, and B H(empty set) is E[z^N_a]; Little's law in
+    distribution sets it equal to E[exp(-lambda_a (1 - z) W_a)].
+    """
+    theta = model.subset_table.theta
+    i = model.agent_index[a]
+    m = _stage_means(model, i)
+    bits = [(1 << k, lam_k) for k, lam_k in enumerate(model.agent_rates)]
+    h = [0.0] * len(theta)
+    for t in range(len(theta) - 1, -1, -1):
+        acc = 1.0
+        for bit, lam_k in bits:
+            if not t & bit:
+                acc += lam_k / theta[t | bit] * (z if bit == 1 << i else 1.0) * h[t | bit]
+        h[t] = acc / (1.0 + m[t] * (1.0 - z))
+    return model.subset_table.b * h[0]
 
 
 def ratio_estimate(num, den):

@@ -25,7 +25,12 @@ from fcfs_match import (
 from fcfs_match.errors import DuplicateType, UnknownIdentifier
 
 from conftest import make_example3x3, make_single_pair, random_stable_model
-from oracles import little_agent_counts, min_drain
+from oracles import (
+    little_agent_counts,
+    little_agent_factorial_moments,
+    little_agent_pgf,
+    min_drain,
+)
 
 # Published delay/wait tables of the 3x3 example at rho = 0.7, 2-decimal.
 # Two cells of the published pair table are internally inconsistent with the
@@ -142,15 +147,21 @@ def _verify_wide() -> MatchingModel:
     return MatchingModel.from_json_dict(workloads.random_model("verify-wide"))
 
 
-def _little_models():
-    example = make_example3x3()
-    near_limit = make_example3x3(lambda_bar=0.999 * max_stable_rho(example).value)
+def _random_models_by_size():
+    """One random model per agent-type count reached, up to 14."""
     rng = np.random.default_rng(53)
-    sizes = {}  # one random model per agent-type count reached, up to 14
+    sizes = {}
     while len(sizes) < 6 or 14 not in sizes:
         model = random_stable_model(rng, max_agents=14, max_goods=6, rho_cap=0.95)
         sizes.setdefault(model.n_agent_types, model)
-    return [example, near_limit, _verify_wide(), make_single_pair(), *sizes.values()]
+    return sizes
+
+
+def _little_models():
+    example = make_example3x3()
+    near_limit = make_example3x3(lambda_bar=0.999 * max_stable_rho(example).value)
+    return [example, near_limit, _verify_wide(), make_single_pair(),
+            *_random_models_by_size().values()]
 
 
 def test_littles_law_agent_means():
@@ -162,6 +173,34 @@ def test_littles_law_agent_means():
         waits = wait_moments(model).agent_mean
         for a, lam in zip(model.agent_names, model.agent_rates):
             assert counts[a] == pytest.approx(lam * waits[a], rel=1e-12, abs=0), (model, a)
+
+
+def test_littles_law_agent_second_moments():
+    # E[N_a (N_a - 1)] from the occupancy of the waiting orders equals
+    # lambda_a^2 E[W_a^2] from the delay completions, which the oracle does not read
+    for model in _little_models():
+        moments = little_agent_factorial_moments(model)
+        waits = wait_moments(model)
+        for a, lam in zip(model.agent_names, model.agent_rates):
+            second = waits.agent_var[a] + waits.agent_mean[a] ** 2
+            assert moments[a] == pytest.approx(lam * lam * second, rel=1e-12, abs=0), (model, a)
+    rho = 0.5  # the M/M/1 queue: P(N >= n) = rho^n
+    assert little_agent_factorial_moments(make_single_pair(rho, 1.0))["c"] == pytest.approx(
+        2 * rho**2 / (1 - rho) ** 2, rel=1e-12, abs=0)
+
+
+def test_littles_law_in_distribution():
+    # E[z^N_a] from the occupancy of the waiting orders equals the agent wait's
+    # transform at -lambda_a (1 - z), mixed over the goods a is matched to
+    sizes = _random_models_by_size()
+    for model in (make_example3x3(), _verify_wide(), sizes[11], sizes[12]):
+        theta = matching_rates(model).theta
+        for a, lam in zip(model.agent_names, model.agent_rates):
+            for z in (0.0, 0.3, 0.9):
+                s = -lam * (1.0 - z)
+                mixed = math.fsum(th * wait_mgf(model, (g, a), s) for g, th in theta[a].items())
+                assert little_agent_pgf(model, a, z) == pytest.approx(mixed, rel=1e-12, abs=0), (
+                    model, a, z)
 
 
 def test_moment_positivity_random_models():

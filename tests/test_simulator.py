@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 from collections import Counter, defaultdict
@@ -108,9 +109,7 @@ def test_run_is_deterministic(example3x3, warm_kernel):
     assert np.array_equal(a.loss_counts, b.loss_counts)
     assert np.array_equal(a.delay_sums, b.delay_sums)
     assert np.array_equal(a.delay_sqs, b.delay_sqs)
-    assert a.occupancy.keys() == b.occupancy.keys()
-    for key in a.occupancy:
-        assert np.array_equal(a.occupancy[key], b.occupancy[key])
+    assert a.occupancy == b.occupancy
 
 
 def test_run_conservation(example3x3, warm_kernel):
@@ -211,8 +210,7 @@ def test_slice_boundaries_preserve_results(example3x3, warm_kernel, monkeypatch)
         for field in _COUNTERS:
             assert np.array_equal(getattr(short, field), getattr(ref, field)), field
         assert list(short.occupancy) == list(ref.occupancy)
-        for key, counts in ref.occupancy.items():
-            assert np.array_equal(short.occupancy[key], counts)
+        assert short.occupancy == ref.occupancy
 
 
 def _reference_orders(model, n_events, seed, chunk=None):
@@ -272,6 +270,18 @@ def _reference_counters(model, orders, events, burn_in, n_batches):
     return c, dict(occupancy)
 
 
+def _nonzero_cells(dense: dict) -> dict:
+    """Order -> {batch: events} over the nonzero batches of each (batches,) row."""
+    return {key: {b: int(row[b]) for b in np.flatnonzero(row).tolist()} for key, row in dense.items()}
+
+
+def _dense_row(cells: dict[int, int], n_batches: int) -> np.ndarray:
+    """The (batches,) int64 counts of one order's {batch: events} cells."""
+    row = np.zeros(n_batches, dtype=np.int64)
+    row[list(cells)] = list(cells.values())
+    return row
+
+
 def _random_multi_type_model():
     """The first draw with at least 4 agent types and 2 good types."""
     rng = np.random.default_rng(3)
@@ -296,7 +306,7 @@ def test_occupancy_tally_matches_reference_orders(example3x3, which, monkeypatch
     monkeypatch.setattr(simulator, "BATCHES", 63)
     tail = run(model, n, seed=seed, burn_in=n - 63)
     for b in range(63):
-        seen = {key: int(arr[b]) for key, arr in tail.occupancy.items() if arr[b]}
+        seen = {key: cells[b] for key, cells in tail.occupancy.items() if b in cells}
         assert seen == {orders[n - 63 + b]: 1}
 
     # every event of a run from the empty state, tallied per batch, and the
@@ -305,8 +315,7 @@ def test_occupancy_tally_matches_reference_orders(example3x3, which, monkeypatch
     stats = run(model, n, seed=seed, burn_in=0)
     counters, occupancy = _reference_counters(model, orders, events, 0, n_batches)
     assert stats.occupancy.keys() == occupancy.keys()
-    for key, counts in occupancy.items():
-        assert np.array_equal(stats.occupancy[key], counts)
+    assert stats.occupancy == _nonzero_cells(occupancy)
     assert np.array_equal(stats.delay_sqs, counters["delay_sqs"])
 
 
@@ -327,8 +336,7 @@ def test_stream_crosses_chunk_ends(example3x3, which, monkeypatch):
     assert stats.final_unmatched == waiting
     assert list(stats.occupancy) == list(dict.fromkeys(orders[burn_in:]))
     assert stats.occupancy.keys() == occupancy.keys()
-    for key, counts in occupancy.items():
-        assert np.array_equal(stats.occupancy[key], counts)
+    assert stats.occupancy == _nonzero_cells(occupancy)
 
 
 # tracemalloc peak of run(example3x3, 1e5 events): a whole (2, 1e5) chunk of
@@ -353,12 +361,19 @@ def test_occupancy_entries_are_the_nonzero_cells(example3x3, warm_kernel, n_batc
     monkeypatch.setattr(simulator, "BATCHES", n_batches)
     for model in (example3x3, _random_multi_type_model()):
         stats = run(model, 20_000, seed=5, burn_in=1_000)
-        dense = np.array(list(stats.occupancy.values()))
         for field in ("entry_rows", "entry_batches", "entry_counts"):
             assert getattr(stats, field).dtype == np.int64
-        cells = sorted(zip(stats.entry_rows.tolist(), stats.entry_batches.tolist()))
-        assert cells == sorted(zip(*(a.tolist() for a in np.nonzero(dense))))
-        assert np.array_equal(dense[stats.entry_rows, stats.entry_batches], stats.entry_counts)
+        # a dense orders x batches table summed from the entries: its nonzero
+        # cells are the occupancy, batches ascending, and each is one entry
+        dense = np.zeros((len(stats.order_rows), n_batches), dtype=np.int64)
+        np.add.at(dense, (stats.entry_rows, stats.entry_batches), stats.entry_counts)
+        names = model.agent_names
+        rows = {tuple(names[i] for i in key): row for key, row in zip(stats.order_rows, dense)}
+        assert list(stats.occupancy) == list(rows)
+        assert stats.occupancy == _nonzero_cells(rows)
+        assert all(list(cells) == sorted(cells) for cells in stats.occupancy.values())
+        assert sum(map(len, stats.occupancy.values())) == len(stats.entry_counts)
+        assert stats.entry_counts.min() > 0
 
 
 def test_pi_y_rejects_unknown_and_repeated_types(warm_kernel):
@@ -481,7 +496,31 @@ def test_to_json_dict_shape(example3x3, warm_kernel):
     assert payload["n_events"] == 30_000
     assert set(payload["loss"]) == {"s1", "s2", "s3"}
     assert "s3,c2" in payload["rates"]
-    assert "" in payload["occupancy"] or "(empty)" not in payload["occupancy"]
+
+
+@pytest.mark.parametrize("which", ["example3x3", "random"])
+def test_json_occupancy_is_the_nonzero_cells(example3x3, which, warm_kernel):
+    # "occupancy" maps each order, joined by ">" and sorted, the empty one as
+    # "", to {batch: events} over the batches with events in it; densified, it
+    # is the per-batch counts of run's entries
+    model = example3x3 if which == "example3x3" else _random_multi_type_model()
+    stats = run(model, 30_000, seed=3, burn_in=1_000)
+    payload = stats.to_json_dict()
+    assert json.loads(json.dumps(payload)) == payload  # every key is a string
+    block = payload["occupancy"]
+    assert "" in block
+    assert list(block) == sorted(block, key=lambda k: k.split(">"))
+    for cells in block.values():
+        assert list(map(int, cells)) == sorted(map(int, cells))
+        assert all(type(n) is int and n > 0 for n in cells.values())
+    dense = np.zeros((len(stats.order_rows), stats.n_batches), dtype=np.int64)
+    dense[stats.entry_rows, stats.entry_batches] = stats.entry_counts
+    names = model.agent_names
+    expected = {">".join(names[i] for i in key): row for key, row in zip(stats.order_rows, dense)}
+    assert block.keys() == expected.keys()
+    for order, cells in block.items():
+        densified = _dense_row({int(b): n for b, n in cells.items()}, stats.n_batches)
+        assert np.array_equal(densified, expected[order]), order
 
 
 def _eight_agent_types_model():
@@ -518,8 +557,10 @@ def test_row_estimates_match_per_row_reference():
     assert masked > len(ests["rate"])
     for g, loss in ests["loss"].items():
         assert loss == ratio_estimate(stats.loss_counts[:, model.good_index[g]], stats.goods_counts)
-    assert stats.b_hat() == ratio_estimate(stats.occupancy[()], stats.events_counts)
-    for order, counts in list(stats.occupancy.items())[:100]:
+    assert stats.b_hat() == ratio_estimate(_dense_row(stats.occupancy[()], stats.n_batches),
+                                           stats.events_counts)
+    for order, cells in list(stats.occupancy.items())[:100]:
+        counts = _dense_row(cells, stats.n_batches)
         assert stats.pi_y(order) == ratio_estimate(counts, stats.events_counts)
 
 
