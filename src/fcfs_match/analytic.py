@@ -10,12 +10,13 @@ moment sums, built in O(J * I * 2^I) steps. The model keeps it
 (MatchingModel.subset_table), so it lives exactly as long as its model. It
 holds no wait sums: with Lambda = lambda_bar + mu_bar, a Poisson wait is the
 sum of its delay's count of Exp(Lambda) gaps, so delays.py derives every wait
-value from the delay law through Lambda. The table's theta is the list of the model's subset scan
-(MatchingModel.subset_scan), the same pass that answers the stability,
-pooling and rho* checks. The table is built only for a model that
-check_stability calls stable, so every theta is at least STABILITY_MARGIN *
-Lambda; the scan refuses a model whose 2^I-set lists would not fit in memory.
-No other limit applies to the table.
+value from the delay law through Lambda. _subset_table, the one builder that
+reads the model, takes theta from its subset scan (MatchingModel.subset_scan,
+which answers the stability, pooling and rho* checks) and calls _table_core,
+the recursions over plain lists in +, -, * and /, which run on any number
+type. It builds a table only for a model check_stability calls stable, so
+every theta is at least STABILITY_MARGIN * Lambda; the scan refuses a model
+whose 2^I-set lists would not fit in memory. No other limit applies.
 
 enumerate_terms, the depth-first walk over all e * I! ordered subsets, stays
 in the package as public API and as the independent oracle the table is
@@ -118,7 +119,8 @@ class _SubsetTable(NamedTuple):
     order, to (rate, raw, de, de2): its matching rate B * (mu_good / mu_bar)
     * raw, its first-compatible credit sum raw, and the delay-moment sums
     (position counts) weight * E[D] and weight * E[D^2] given the order.
-    Every rate is positive: the builder refuses a model with a zero-rate edge.
+    _table_core computes b, w, f0 and the sums from plain lists; _subset_table,
+    its one model reader, refuses a zero-rate edge, so every rate is positive.
     The table keeps no wait sums: delays.delay_moments derives the wait values
     from the delay values through Lambda = lambda_bar + mu_bar.
     """
@@ -131,8 +133,8 @@ class _SubsetTable(NamedTuple):
 
 
 def _subset_table(model: MatchingModel) -> _SubsetTable:
-    """Build the table: theta from the model's subset scan, W by increasing
-    mask, the completions by decreasing mask, then the per-edge sums. Raises
+    """Build the table: theta from the model's subset scan, _table_core's
+    recursions on the model's rates, then the per-edge rates. Raises
     UnstableModel unless check_stability calls the model stable, and ZeroRate
     when some good's arrival rate, or else some edge's rate, is not positive,
     naming the first such good or edge."""
@@ -141,10 +143,27 @@ def _subset_table(model: MatchingModel) -> _SubsetTable:
         if not mu_j > 0.0:
             raise ZeroRate(f"good {g!r} has arrival rate {mu_j!r}: the rate underflows a "
                            f"float, and the good's loss rate is undefined")
-    n = model.n_agent_types
-    size = 1 << n
-    total_rate = model.total_rate
-    bits = [(1 << k, lam_k) for k, lam_k in enumerate(model.agent_rates)]
+    b, w, f0, sums = _table_core(model.agent_rates, theta, model.total_rate, model.agents_of_good)
+    edges = {}
+    for g, a in model.edge_list:
+        j, i = model.good_index[g], model.agent_index[a]
+        raw, de, de2 = sums[j]
+        rate = b * (model.good_rates[j] / model.mu_bar) * raw[i]
+        if not rate > 0.0:
+            raise ZeroRate(f"edge {(g, a)!r} has matching rate {rate!r}: the rate "
+                           f"underflows a float, and the pair's delay is undefined")
+        edges[(g, a)] = (rate, raw[i], de[i], de2[i])
+    return _SubsetTable(b, theta, w, f0, edges)
+
+
+def _table_core(lam, theta, total_rate, agents_of_good):
+    """The table's recursions over lam per agent type, theta per agent set,
+    total_rate = lambda_bar + mu_bar and each good's compatible-agent mask: W by
+    increasing mask, the completions by decreasing mask, then per good the
+    first-match sums (raw, de, de2), as (b, w, f0, sums). Only +, -, * and /,
+    and no comparison of numbers, so any number type runs it."""
+    size = len(theta)
+    bits = [(1 << k, lam_k) for k, lam_k in enumerate(lam)]
 
     w = [1.0] * size
     for s in range(1, size):
@@ -183,29 +202,16 @@ def _subset_table(model: MatchingModel) -> _SubsetTable:
         d1[t] = a * s0 + sd1
         d2[t] = (2.0 - p) * a * a * s0 + 2.0 * a * sd1 + sd2
 
-    b = 1.0 / f0[0]
-    sums = [_first_match_sums(model, w, theta, j, (f0, d1, d2)) for j in range(model.n_good_types)]
-    edges = {}
-    for g, a in model.edge_list:
-        j, i = model.good_index[g], model.agent_index[a]
-        raw, de, de2 = sums[j]
-        rate = b * (model.good_rates[j] / model.mu_bar) * raw[i]
-        if not rate > 0.0:
-            raise ZeroRate(f"edge {(g, a)!r} has matching rate {rate!r}: the rate "
-                           f"underflows a float, and the pair's delay is undefined")
-        edges[(g, a)] = (rate, raw[i], de[i], de2[i])
-    return _SubsetTable(b, theta, w, f0, edges)
+    return 1.0 / f0[0], w, f0, [_first_match_sums(lam, m, w, theta, (f0, d1, d2)) for m in agents_of_good]
 
 
-def _first_match_sums(model: MatchingModel, w, theta, j: int, completions) -> list[list[float]]:
-    """For every completion array F, per agent i compatible with good j (zero
-    elsewhere): the sum over sets P of agents incompatible with j of
+def _first_match_sums(lam, compatible: int, w, theta, completions) -> list[list]:
+    """For every completion array F, per agent i in the mask compatible of one
+    good (zero elsewhere): the sum over sets P of agents outside the mask of
     W(P) * lambda_i / theta(P+i) * F(P+i). That is the sum over the orders in
-    which i is the first type compatible with j, each weighted and completed
-    by F."""
-    n = model.n_agent_types
-    lam = model.agent_rates
-    compatible = model.agents_of_good[j]
+    which i is the first type compatible with the good, each weighted and
+    completed by F."""
+    n = len(lam)
     free = ((1 << n) - 1) & ~compatible
     agents = [(i, 1 << i, lam[i]) for i in range(n) if compatible >> i & 1]
     sums = [[0.0] * n for _ in completions]
@@ -223,19 +229,15 @@ def _first_match_sums(model: MatchingModel, w, theta, j: int, completions) -> li
         p = (p - 1) & free
 
 
-def _mixture(model: MatchingModel, j: int, i: int, z: float) -> float:
-    """Sum over the orders in which agent i is the first type compatible with
-    good j, of weight times the product of the stage PGFs z p / (1 - z (1 -
-    p)), p = theta / (lambda_bar + mu_bar), over the prefixes from the match
-    position onward."""
-    table = model.subset_table
-    theta = table.theta
-    total_rate = model.total_rate
-    size = len(theta)
-    bits = [(1 << k, lam_k) for k, lam_k in enumerate(model.agent_rates)]
+def _mixture(lam, compatible: int, w, theta, total_rate, i: int, z) -> float:
+    """Sum over the orders in which agent i is the first type in the mask
+    compatible of one good, of weight times the product of the stage PGFs
+    z p / (1 - z (1 - p)), p = theta / total_rate, over the prefixes from the
+    match position onward."""
+    bits = [(1 << k, lam_k) for k, lam_k in enumerate(lam)]
     # H(T) = stage PGF at theta(T) * (1 + sum_k lambda_k / theta(T+k) * H(T+k))
-    h = [0.0] * size
-    for t in range(size - 1, 0, -1):
+    h = [0.0] * len(theta)
+    for t in range(len(theta) - 1, 0, -1):
         acc = 1.0
         for bit, lam_k in bits:
             if not t & bit:
@@ -243,7 +245,7 @@ def _mixture(model: MatchingModel, j: int, i: int, z: float) -> float:
                 acc += lam_k / theta[u] * h[u]
         p = theta[t] / total_rate
         h[t] = z * p / (1.0 - z * (1.0 - p)) * acc
-    return _first_match_sums(model, table.w, theta, j, (h,))[0][i]
+    return _first_match_sums(lam, compatible, w, theta, (h,))[0][i]
 
 
 def _orders_above(model: MatchingModel, threshold: float) -> dict[tuple[str, ...], float]:

@@ -139,8 +139,9 @@ def _pair_transform(model: MatchingModel, pair, z: float) -> float:
         raise UnknownIdentifier(f"unknown pair ({g!r}, {a!r})")
     if not model.is_edge(g, a):
         raise ZeroRate(f"({g!r}, {a!r}) is not a compatibility edge; its rate is zero")
-    raw = model.subset_table.edges[(g, a)][1]
-    return _mixture(model, model.good_index[g], model.agent_index[a], z) / raw
+    table, j, i = model.subset_table, model.good_index[g], model.agent_index[a]
+    h = _mixture(model.agent_rates, model.agents_of_good[j], table.w, table.theta, model.total_rate, i, z)
+    return h / table.edges[(g, a)][1]
 
 
 def delay_pgf(model: MatchingModel, pair, z: float) -> float:

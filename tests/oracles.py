@@ -42,6 +42,17 @@ One brute-force pass over agent subsets checks model.py's per-mask sums:
 
 * min_drain: the smallest drain rate mu_{S(C)} - lambda_C and the first set
   attaining it, in the same order, for validate's min_drain_* keys.
+
+Three builders make models whose answers are known at any I:
+
+* with_flexible_type: a model in which one agent type is compatible with every
+  good. That type waits Exp(mu_bar - lambda_bar) at every good, whatever the
+  other types: it sees an M/M/1 queue with the pooled rates.
+
+* joined: one disconnected model of two. Each component keeps its own waits,
+  and its rates scale by its share of the goods.
+
+* bench_model: a model of the benchmark's generator, by label.
 """
 
 from __future__ import annotations
@@ -52,7 +63,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from fcfs_match import enumerate_terms
+from fcfs_match import MatchingModel, enumerate_terms
 
 
 def _power_stationary(P: sp.csr_matrix, tol: float = 1e-14, max_iter: int = 500_000) -> np.ndarray:
@@ -489,3 +500,46 @@ def variance_estimate(sums, sqs, m):
     bm = sums[valid] / m[valid]
     bv = sqs[valid] / m[valid] - bm * bm
     return value, float(bv.std(ddof=1) / math.sqrt(int(valid.sum())))
+
+
+def with_flexible_type(model, name, alpha=None):
+    """The model with agent type name compatible with every good. A type of the
+    model gains the goods it lacks; a new name joins with frequency alpha, and
+    the other agent frequencies are scaled by 1 - alpha. lambda_bar and mu_bar
+    are kept."""
+    agents = model.agent_types
+    if name not in model.agent_index:
+        agents = tuple((a, f * (1.0 - alpha)) for a, f in agents) + ((name, alpha),)
+    edges = model.edges | {(g, name) for g in model.good_names}
+    return MatchingModel(agents, model.good_types, edges, model.lambda_bar, model.mu_bar)
+
+
+def joined(first, second):
+    """One disconnected model of two: the types of first, each name prefixed
+    with "x", then those of second, prefixed with "y". Every arrival rate is
+    kept, so lambda_bar and mu_bar are the sums of the two models'."""
+    lam, mu = first.lambda_bar + second.lambda_bar, first.mu_bar + second.mu_bar
+    parts = ((first, "x"), (second, "y"))
+    return MatchingModel(
+        [(t + a, r / lam) for m, t in parts for a, r in zip(m.agent_names, m.agent_rates)],
+        [(t + g, r / mu) for m, t in parts for g, r in zip(m.good_names, m.good_rates)],
+        [(t + g, t + a) for m, t in parts for g, a in m.edges],
+        lam, mu)
+
+
+def bench_model(label):
+    """The model bench/workloads.py generates for label: I = J = 8, Dirichlet(2)
+    frequencies, edge density 0.4, rho = 0.8 rho*. verify-wide's label is
+    "verify-wide", and the analytic-wide models are "analytic-wide/s/k"."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    name = "bench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module  # its dataclasses look the module up by name
+        spec.loader.exec_module(module)
+    return MatchingModel.from_json_dict(sys.modules[name].random_model(label))

@@ -24,11 +24,12 @@ from fcfs_match import (
     wait_mgf,
     wait_moments,
 )
-from fcfs_match.analytic import _orders_above, _subset_table
+from fcfs_match.analytic import _orders_above, _subset_table, _table_core
 from fcfs_match.errors import DomainError, DuplicateType, UnknownIdentifier
 
 from conftest import make_example3x3, make_single_pair, random_stable_model
-from oracles import mixture_value, walk_sums, x_chain_rates, y_chain_rates
+from oracles import (bench_model, mixture_value, walk_sums, with_flexible_type, x_chain_rates,
+                     y_chain_rates)
 
 # Published rate table of the 3x3 example (3-decimal rounding).
 EXPECTED_RATES_3X3 = {
@@ -267,6 +268,62 @@ def test_subset_table_matches_walk_oracle():
             kept = _orders_above(model, threshold)
             expected = {o: p for o, p in orders.items() if p > threshold}
             assert kept == pytest.approx(expected, rel=1e-12)
+
+
+def _flexible_paper_model():
+    """paper-3x3 with a type f compatible with every good and of frequency 0.2
+    added, the other frequencies scaled by 0.8, at 0.9 rho*."""
+    model = with_flexible_type(make_example3x3(), "f", 0.2)
+    return model.with_lambda_bar(0.9 * max_stable_rho(model).value * model.mu_bar)
+
+
+def _complex_theta(model, mu):
+    """theta(S) = mu_{S(S)} - lambda_S for every agent set S, from the good
+    rates mu, which may be complex."""
+    n = model.n_agent_types
+    theta = []
+    for s in range(1 << n):
+        agents = [i for i in range(n) if s >> i & 1]
+        goods = {j for j, mask in enumerate(model.agents_of_good) for i in agents if mask >> i & 1}
+        theta.append(sum(mu[j] for j in goods) - sum(model.agent_rates[i] for i in agents))
+    return theta
+
+
+def test_table_core_runs_on_complex_numbers():
+    # a complex number has no order, so any comparison in the core would raise
+    # TypeError; with zero imaginary parts the core gives the table's values
+    for model in (make_example3x3(), _flexible_paper_model(), bench_model("verify-wide")):
+        table = model.subset_table
+        b, w, f0, sums = _table_core([complex(x) for x in model.agent_rates],
+                                     [complex(x) for x in table.theta],
+                                     complex(model.total_rate), model.agents_of_good)
+        got = [b, *w, *f0]
+        expected = [table.b, *table.w, *table.f0]
+        for (g, a), (_, *entry) in table.edges.items():
+            j, i = model.good_index[g], model.agent_index[a]
+            got += [column[i] for column in sums[j]]
+            expected += entry
+        assert not any(x.imag for x in got)
+        assert [x.real for x in got] == pytest.approx(expected, rel=1e-15, abs=0)
+
+
+def test_complex_step_derivative_of_flexible_delay():
+    # E[D] = Lambda / (mu_bar - lambda_bar) for a type compatible with every
+    # good, so dE[D]/dmu_j = -2 lambda_bar / (mu_bar - lambda_bar)^2 for every
+    # good j; the complex step mu_j + i h gives it as Im E[D] / h, exact to rounding
+    h = 1e-30
+    random_model = with_flexible_type(bench_model("analytic-wide/1/0"), "c1")
+    for model, a in ((_flexible_paper_model(), "f"), (random_model, "c1")):
+        i = model.agent_index[a]
+        lam_bar, mu_bar = model.lambda_bar, model.mu_bar
+        slope = -2 * lam_bar / (mu_bar - lam_bar) ** 2
+        for j in range(model.n_good_types):
+            mu = [complex(x) for x in model.good_rates]
+            mu[j] += h * 1j
+            _, _, _, sums = _table_core(list(model.agent_rates), _complex_theta(model, mu),
+                                        lam_bar + sum(mu), model.agents_of_good)
+            assert [(de[i] / raw[i]).imag / h for raw, de, _ in sums] == pytest.approx(
+                [slope] * model.n_good_types, rel=1e-12, abs=0), (model, j)
 
 
 def test_scale_invariance(example3x3):

@@ -1,16 +1,12 @@
 from __future__ import annotations
 
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fcfs_match import (
     DomainError,
-    MatchingModel,
     UnstableModel,
     ZeroRate,
     delay_moments,
@@ -26,10 +22,13 @@ from fcfs_match.errors import DuplicateType, UnknownIdentifier
 
 from conftest import make_example3x3, make_single_pair, random_stable_model
 from oracles import (
+    bench_model,
+    joined,
     little_agent_counts,
     little_agent_factorial_moments,
     little_agent_pgf,
     min_drain,
+    with_flexible_type,
 )
 
 # Published delay/wait tables of the 3x3 example at rho = 0.7, 2-decimal.
@@ -137,16 +136,6 @@ def test_agent_moments_are_theta_mixtures(example3x3):
         assert report.agent_var[agent] == pytest.approx(second - mixed**2, abs=1e-9)
 
 
-def _verify_wide() -> MatchingModel:
-    """The benchmark's verify-wide model: I = J = 8, edge density about 0.4."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look the module up by name
-    spec.loader.exec_module(workloads)
-    return MatchingModel.from_json_dict(workloads.random_model("verify-wide"))
-
-
 def _random_models_by_size():
     """One random model per agent-type count reached, up to 14."""
     rng = np.random.default_rng(53)
@@ -160,7 +149,7 @@ def _random_models_by_size():
 def _little_models():
     example = make_example3x3()
     near_limit = make_example3x3(lambda_bar=0.999 * max_stable_rho(example).value)
-    return [example, near_limit, _verify_wide(), make_single_pair(),
+    return [example, near_limit, bench_model("verify-wide"), make_single_pair(),
             *_random_models_by_size().values()]
 
 
@@ -193,7 +182,7 @@ def test_littles_law_in_distribution():
     # E[z^N_a] from the occupancy of the waiting orders equals the agent wait's
     # transform at -lambda_a (1 - z), mixed over the goods a is matched to
     sizes = _random_models_by_size()
-    for model in (make_example3x3(), _verify_wide(), sizes[11], sizes[12]):
+    for model in (make_example3x3(), bench_model("verify-wide"), sizes[11], sizes[12]):
         theta = matching_rates(model).theta
         for a, lam in zip(model.agent_names, model.agent_rates):
             for z in (0.0, 0.3, 0.9):
@@ -201,6 +190,108 @@ def test_littles_law_in_distribution():
                 mixed = math.fsum(th * wait_mgf(model, (g, a), s) for g, th in theta[a].items())
                 assert little_agent_pgf(model, a, z) == pytest.approx(mixed, rel=1e-12, abs=0), (
                     model, a, z)
+
+
+def test_littles_law_over_bench_models():
+    # the three Little's law oracles over the 43 analytic-wide models of the
+    # benchmark's generator: I = J = 8, Dirichlet(2) frequencies, edge density
+    # 0.4, rho = 0.8 rho*
+    for s in range(1, 44):
+        label = f"analytic-wide/{s}/0"
+        model = bench_model(label)
+        counts, total = little_agent_counts(model)
+        assert total == pytest.approx(1.0, rel=1e-12, abs=0), label
+        moments = little_agent_factorial_moments(model)
+        waits = wait_moments(model)
+        theta = matching_rates(model).theta
+        for a, lam in zip(model.agent_names, model.agent_rates):
+            mean = waits.agent_mean[a]
+            assert counts[a] == pytest.approx(lam * mean, rel=1e-12, abs=0), (label, a)
+            second = waits.agent_var[a] + mean * mean
+            assert moments[a] == pytest.approx(lam * lam * second, rel=1e-12, abs=0), (label, a)
+            for z in (0.0, 0.3, 0.9):
+                mixed = math.fsum(th * wait_mgf(model, (g, a), -lam * (1.0 - z))
+                                  for g, th in theta[a].items())
+                assert little_agent_pgf(model, a, z) == pytest.approx(mixed, rel=1e-12, abs=0), (
+                    label, a, z)
+
+
+def _flexible_models():
+    """(model, flexible type): paper-3x3 with a type f of frequency 0.2 added at
+    0.9 and 0.999 rho*, verify-wide with f added, and the random models up to
+    I = 14 with their first type made flexible, each at 0.9 rho*."""
+    def near(model, fraction):
+        return model.with_lambda_bar(fraction * max_stable_rho(model).value * model.mu_bar)
+
+    paper = with_flexible_type(make_example3x3(), "f", 0.2)
+    found = [(near(paper, 0.9), "f"), (near(paper, 0.999), "f"),
+             (near(with_flexible_type(bench_model("verify-wide"), "f", 0.2), 0.9), "f")]
+    for model in _random_models_by_size().values():
+        a = model.agent_names[0]
+        found.append((near(with_flexible_type(model, a), 0.9), a))
+    return found
+
+
+def test_flexible_type_waits_like_pooled_mm1():
+    # a type compatible with every good waits Exp(mu_bar - lambda_bar) at every
+    # good, whatever the other types, so its delay is Geom(p) with
+    # p = (mu_bar - lambda_bar) / Lambda
+    for model, a in _flexible_models():
+        r = model.mu_bar - model.lambda_bar
+        p = r / model.total_rate
+        delays, waits = delay_moments(model), wait_moments(model)
+        limit = min_stage_rate(model)
+        for g in model.good_names:
+            pair = (g, a)
+            got = (delays.pair_mean[pair], delays.pair_var[pair], waits.pair_mean[pair],
+                   waits.pair_var[pair])
+            assert got == pytest.approx((1 / p, (1 - p) / p**2, 1 / r, 1 / r**2),
+                                        rel=1e-12, abs=0), (model, pair)
+            for z in (0.2, 0.7):
+                assert delay_pgf(model, pair, z) == pytest.approx(
+                    z * p / (1 - z * (1 - p)), rel=1e-12, abs=0), (model, pair, z)
+            for s in (-r, 0.5 * limit):
+                assert wait_mgf(model, pair, s) == pytest.approx(r / (r - s), rel=1e-12, abs=0), (
+                    model, pair, s)
+        got = (delays.agent_mean[a], delays.agent_var[a], waits.agent_mean[a], waits.agent_var[a])
+        assert got == pytest.approx((1 / p, (1 - p) / p**2, 1 / r, 1 / r**2),
+                                    rel=1e-12, abs=0), (model, a)
+
+
+def test_components_factor_exactly():
+    # in a disconnected model each component keeps its waits, its rates scale
+    # by its share mu_bar_c / mu_bar of the goods, and its delays count the
+    # gaps of the whole model: E[D] = Lambda E[W], Var D = Lambda^2 Var W - E[D]
+    rng = np.random.default_rng(61)
+    pairs = [(make_example3x3(), bench_model("verify-wide"))]
+    pairs += [(random_stable_model(rng, max_agents=6, max_goods=5),
+               random_stable_model(rng, max_agents=6, max_goods=5)) for _ in range(8)]
+    for first, second in pairs:
+        full = joined(first, second)
+        rate = full.total_rate
+        rates, delays, waits = matching_rates(full), delay_moments(full), wait_moments(full)
+        limit = min_stage_rate(full)
+        for comp, t in ((first, "x"), (second, "y")):
+            share = comp.mu_bar / full.mu_bar
+            comp_rates, comp_waits = matching_rates(comp), wait_moments(comp)
+            for (g, a), r in comp_rates.rates.items():
+                pair, mean, var = (t + g, t + a), comp_waits.pair_mean[(g, a)], comp_waits.pair_var[(g, a)]
+                got = (rates.rates[pair], waits.pair_mean[pair], waits.pair_var[pair],
+                       delays.pair_mean[pair], delays.pair_var[pair])
+                expected = (r * share, mean, var, rate * mean, rate * rate * var - rate * mean)
+                assert got == pytest.approx(expected, rel=1e-12, abs=0), (full, pair)
+                for s in (-limit, 0.5 * limit):
+                    assert wait_mgf(full, pair, s) == pytest.approx(
+                        wait_mgf(comp, (g, a), s), rel=1e-12, abs=0), (full, pair, s)
+                for z in (0.2, 0.7):  # E[z^D] is E[exp(s W)] at s = Lambda (1 - 1/z)
+                    assert delay_pgf(full, pair, z) == pytest.approx(
+                        wait_mgf(comp, (g, a), rate * (1 - 1 / z)), rel=1e-12, abs=0), (full, pair, z)
+            for a in comp.agent_names:
+                assert (waits.agent_mean[t + a], waits.agent_var[t + a]) == pytest.approx(
+                    (comp_waits.agent_mean[a], comp_waits.agent_var[a]), rel=1e-12, abs=0), (full, a)
+            for g in comp.good_names:
+                assert rates.loss[t + g] == pytest.approx(comp_rates.loss[g] * share,
+                                                          rel=1e-12, abs=0), (full, g)
 
 
 def test_moment_positivity_random_models():
