@@ -18,14 +18,7 @@ comparison asks of it. Each tree runs all calls in one interpreter of its own,
 through fcfs_match.cli.main, and records per call the exit code, stdout and
 stderr, or the exception that escaped main. The script prints how many calls
 are identical and how many differ, lists the calls that differ, and exits 1
-when any does.
-
-simulate's "occupancy" block maps each order to its nonzero cells, {batch:
-events}; trees before that change wrote each order's dense per-batch list.
-So a simulate call that exits 0 is compared with the block densified on both
-sides and the JSON written again as simulate writes it, which leaves every
-other byte as it was; the script also prints how many calls are identical
-only once densified.
+when any does. Every call, simulate included, is compared byte for byte.
 """
 
 from __future__ import annotations
@@ -87,19 +80,6 @@ def calls_for(path: str, model: dict) -> list[list[str]]:
     return calls
 
 
-def densified(stdout: str) -> str:
-    """simulate's JSON output with each order's {batch: events} occupancy cells
-    written as the dense per-batch list; a dense list is left as it is."""
-    payload = json.loads(stdout)
-    for order, cells in payload["occupancy"].items():
-        if isinstance(cells, dict):
-            row = [0] * payload["n_batches"]
-            for batch, events in cells.items():
-                row[int(batch)] = events
-            payload["occupancy"][order] = row
-    return json.dumps(payload, indent=2) + "\n"
-
-
 def run_tree(src: Path, calls: list[list[str]]) -> list[list]:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED="0")
     proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(calls), env=env,
@@ -127,18 +107,13 @@ def main(argv: list[str] | None = None) -> int:
         after = run_tree(Path(args.after).resolve(), calls)
 
     differ = []
-    dense_only = 0
     for name, call, old, new in zip(names, calls, before, after):
-        if call[0] == "simulate" and old[0] == new[0] == 0 and old[1] != new[1]:
-            old[1], new[1] = densified(old[1]), densified(new[1])
-            dense_only += old[1] == new[1]
         parts = [part for part, a, b in zip(("exit code", "stdout", "stderr"), old, new) if a != b]
         if parts:
             shown = " ".join(arg for arg in call if arg != "--model" and not arg.endswith(".json"))
             differ.append(f"  {name}: {shown}: {', '.join(parts)} differ"
                           + (f" (exit {old[0]!r} -> {new[0]!r})" if old[0] != new[0] else ""))
-    print(f"{len(calls) - len(differ)} of {len(calls)} calls identical, {len(differ)} differ; "
-          f"{dense_only} simulate calls identical only with occupancy densified")
+    print(f"{len(calls) - len(differ)} of {len(calls)} calls identical, {len(differ)} differ")
     for line in differ:
         print(line)
     return 1 if differ else 0

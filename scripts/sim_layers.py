@@ -1,15 +1,19 @@
-"""Time the simulator's layers on one model: run, kernel, the rest of run, and
-compare_with_analytic; and measure their memory.
+"""Time the simulator's layers on one model: run, split into the uniform draws,
+the kernel and the rest of run, and compare_with_analytic; and measure their
+memory.
 
     python3 scripts/sim_layers.py --src src --model model.json --events 200000 --seed 1
 
 --src is the source directory of the tree to measure, so two checkouts can be
 compared with the same script. Every figure is measured twice: cold, the first
 call in this fresh interpreter (the analytic table is built inside that first
-compare_with_analytic), and warm, the median of 5 further calls. The kernel
-time is the sum of the time spent inside _kernel.sim_slice during one run;
-"run minus kernel" is everything else in run: uniform draws, their
-conversion for the kernel, and the occupancy entries.
+compare_with_analytic), and warm, over 5 further calls: the layers of the
+call with the median run_s, and the median compare_s. run's time splits into
+three layers that sum to run_s: draws_s is the time spent in the steps of
+simulator._event_codes (drawing the uniforms and decoding them into Python
+int event codes); kernel_s is the time spent in the simulator._sim_batch
+calls less the draws they pulled; rest_s is everything else in run, chiefly
+the occupancy entries and stacking the counters into arrays.
 
 Memory comes after the timed calls, of which only the cold run's statistics
 stay alive: first the process's peak RSS (ru_maxrss), then the tracemalloc
@@ -42,34 +46,45 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(Path(args.src).resolve()))
-    from fcfs_match import _kernel, simulator
+    from fcfs_match import simulator
     from fcfs_match.model import load_model
 
-    kernel_s = 0.0
-    sim_slice = _kernel.sim_slice
+    draws_s = batch_s = 0.0
+    event_codes, sim_batch = simulator._event_codes, simulator._sim_batch
 
-    def timed_slice(*slice_args):
-        nonlocal kernel_s
+    def timed_codes(*args):
+        nonlocal draws_s
+        t = time.perf_counter()
+        for codes in event_codes(*args):
+            draws_s += time.perf_counter() - t
+            yield codes
+            t = time.perf_counter()
+
+    def timed_batch(*batch_args):
+        nonlocal batch_s
         t = time.perf_counter()
         try:
-            return sim_slice(*slice_args)
+            return sim_batch(*batch_args)
         finally:
-            kernel_s += time.perf_counter() - t
+            batch_s += time.perf_counter() - t
 
-    _kernel.sim_slice = timed_slice
     model = load_model(args.model)
 
     def measure() -> tuple[dict, object, int]:
-        nonlocal kernel_s
-        kernel_s = 0.0
-        t = time.perf_counter()
-        stats = simulator.run(model, args.events, args.seed)
-        run_s = time.perf_counter() - t
+        nonlocal draws_s, batch_s
+        draws_s = batch_s = 0.0
+        simulator._event_codes, simulator._sim_batch = timed_codes, timed_batch
+        try:
+            t = time.perf_counter()
+            stats = simulator.run(model, args.events, args.seed)
+            run_s = time.perf_counter() - t
+        finally:
+            simulator._event_codes, simulator._sim_batch = event_codes, sim_batch
         t = time.perf_counter()
         rows = simulator.compare_with_analytic(model, stats)
         compare_s = time.perf_counter() - t
-        times = {"run_s": run_s, "kernel_s": kernel_s, "run_minus_kernel_s": run_s - kernel_s,
-                 "compare_s": compare_s}
+        times = {"run_s": run_s, "draws_s": draws_s, "kernel_s": batch_s - draws_s,
+                 "rest_s": run_s - batch_s, "compare_s": compare_s}
         return times, stats, len(rows)
 
     def traced_peak_mb(fn, *fn_args):
@@ -82,7 +97,9 @@ def main(argv: list[str] | None = None) -> int:
 
     cold, stats, n_rows = measure()
     warm = [measure()[0] for _ in range(WARM_REPEATS)]
-    layers = ("run_s", "kernel_s", "run_minus_kernel_s", "compare_s")
+    layers = ("run_s", "draws_s", "kernel_s", "rest_s", "compare_s")
+    median_run = {**sorted(warm, key=lambda w: w["run_s"])[WARM_REPEATS // 2],
+                  "compare_s": statistics.median(w["compare_s"] for w in warm)}
     max_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     traced, run_peak = traced_peak_mb(simulator.run, model, args.events, args.seed)
     _, compare_peak = traced_peak_mb(simulator.compare_with_analytic, model, traced)
@@ -91,7 +108,7 @@ def main(argv: list[str] | None = None) -> int:
         "events": args.events,
         "seed": args.seed,
         "cold": {k: round(cold[k], 6) for k in layers},
-        "warm_median": {k: round(statistics.median(w[k] for w in warm), 6) for k in layers},
+        "warm_median": {k: round(median_run[k], 6) for k in layers},
         "memory_mb": {
             "run_traced_peak": round(run_peak, 3),
             "compare_traced_peak": round(compare_peak, 3),

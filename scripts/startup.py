@@ -8,10 +8,7 @@ repeat to repeat, so both see the same host load. Wall time is measured
 around the child from start to os.wait4, and peak RSS is the child's
 ru_maxrss. One discarded call per tree and command comes first. Every call
 must exit as documented (0, or 5 for a verify whose table has some |z| above
---z-max), and both trees must print the same bytes. simulate's output is
-compared with its occupancy block densified (same_outputs.densified), so a
-tree that writes each order's nonzero cells and one that writes dense
-per-batch lists still get a full comparison.
+--z-max), and both trees must print the same bytes.
 
 sweep runs two points, rho/2 and the model's rho; simulate and verify run
 20,000 events at seed 1, verify with --z-max inf.
@@ -34,8 +31,6 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-
-from same_outputs import densified
 
 COMMANDS = ("validate", "rates", "delays", "waits", "sweep", "simulate", "verify")
 OK_CODES = {"verify": (0, 5)}
@@ -118,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
                 wall, peak, code, out = call(trees[tree], cli_argv)
                 if code not in OK_CODES.get(command, (0,)):
                     problems.append(f"{tree} {command}: exit {code}")
-                outputs[tree] = densified(out.decode()) if command == "simulate" and code == 0 else out
+                outputs[tree] = out
                 if repeat >= 0:
                     seconds[command][tree].append(wall)
                     rss[command][tree].append(peak)

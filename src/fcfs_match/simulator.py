@@ -6,11 +6,25 @@ each family comes from one row-wise call: _batch_means for the ratios (rate,
 delay mean and loss; B with the waiting-list-order occupancies) and
 _batch_variances for the delay variances. compare_with_analytic() lines the
 estimates up against the subset table's results as z-scores.
+
+The uniform stream has one owner, _event_codes, which draws it with numpy and
+decodes it into integer event codes: t < n_agent is an agent of type t, and
+n_agent + j a good of type j, so the kernel does no float comparison or type
+lookup. run chains the code lists into one iterator and hands each batch's
+events to the kernel, _sim_batch, in one call. The kernel keeps one deque of
+arrival indices per agent type, and the first-appearance order of the waiting
+list (the nonempty types sorted by the arrival index of their oldest agent)
+as a list: it changes only when an agent joins an empty queue (the type is
+appended) or a good takes a queue's oldest agent (the type moves back by its
+new head, or leaves). An arriving good matches the first type in that order
+it is compatible with, which is the earliest-arrived compatible agent.
+Occupancy of each order is tallied as run lengths between changes.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -18,7 +32,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _kernel
 from .analytic import _check_cap, _orders_above, matching_rates, normalizing_constant
 from .delays import delay_moments
 from .errors import DomainError, UnknownIdentifier
@@ -27,6 +40,10 @@ from .model import MatchingModel, _order_indices, _stable_scan
 BATCHES = 50  # every run splits its post-burn-in events into this many batches
 PI_Y_THRESHOLD = 1e-4  # verify checks the waiting orders more probable than this
 MIN_BURN_IN = 10_000
+# items per chunk of the uniform stream, which reads as rng.random((2, CHUNK)):
+# the stream's layout, not a buffer size, so changing it changes every result
+CHUNK = 1_000_000
+SLICE = 8_192  # events coded and converted to Python ints at a time
 
 
 class Estimate(NamedTuple):
@@ -207,6 +224,115 @@ class SimStats:
         }
 
 
+class _BatchTally:
+    """Counters of one batch: one per edge, in model.edge_list order, for the
+    matches, delays and squared delays, and one per good type for the losses."""
+
+    __slots__ = ("match_counts", "delay_sums", "delay_sqs", "loss_counts", "occupancy")
+
+    def __init__(self, n_edge: int, n_good: int):
+        self.match_counts = [0] * n_edge
+        self.delay_sums = [0] * n_edge
+        self.delay_sqs = [0.0] * n_edge
+        self.loss_counts = [0] * n_good
+        # order (tuple of type indices) -> events that ended with that order
+        self.occupancy: dict[tuple[int, ...], int] = {}
+
+
+def _event_codes(model: MatchingModel, n_events: int, seed: int):
+    """Yield the event codes of a run, at most SLICE ints per list.
+
+    The stream is numpy's default generator read as rng.random((2, m)) per
+    chunk of m = CHUNK items (the last chunk shorter): a row of kind uniforms,
+    then a row of type uniforms. One generator reads each row and skips the
+    other's with advance, so only a slice of uniforms is drawn at a time. An
+    item of kind uniform u_kind and type uniform u_type is agent type
+    bisect_right(alpha_cum[:-1], u_type) if u_kind < p_agent, else good type
+    bisect_right(beta_cum[:-1], u_type); searchsorted side="right" is the same.
+    """
+    n_agent = model.n_agent_types
+    alpha_edges = np.cumsum(np.asarray(model.alpha))[:-1]
+    beta_edges = np.cumsum(np.asarray(model.beta))[:-1]
+    p_agent = model.lambda_bar / model.total_rate
+    kind_rng = np.random.default_rng(seed)
+    type_rng = np.random.default_rng(seed)
+    for start in range(0, n_events, CHUNK):
+        m = min(CHUNK, n_events - start)
+        type_rng.bit_generator.advance(m)  # past this chunk's kind row
+        for lo in range(0, m, SLICE):
+            size = min(SLICE, m - lo)
+            u_type = type_rng.random(size)
+            yield np.where(
+                kind_rng.random(size) < p_agent,
+                np.searchsorted(alpha_edges, u_type, side="right"),
+                n_agent + np.searchsorted(beta_edges, u_type, side="right"),
+            ).tolist()
+        kind_rng.bit_generator.advance(m)  # past this chunk's type row
+
+
+def _sim_batch(codes, n, n_agent, edge_of, queues, order, tally):
+    """Process the events n, n+1, ... given by the int iterable codes.
+
+    edge_of[j][i] is the index of the edge (good type j, agent type i), or
+    None where j does not serve i. queues and order are mutated in place and
+    carry over to the next batch; counters go to tally. Returns the number of
+    agents that arrived.
+    """
+    mc = tally.match_counts
+    ds = tally.delay_sums
+    dq = tally.delay_sqs
+    lc = tally.loss_counts
+    occ = tally.occupancy
+    key = tuple(order)
+    run_start = n
+    agents = 0
+    for c in codes:
+        changed = False
+        if c < n_agent:
+            q = queues[c]
+            q.append(n)
+            agents += 1
+            if len(q) == 1:
+                order.append(c)
+                changed = True
+        else:
+            j = c - n_agent
+            row = edge_of[j]
+            for k, i in enumerate(order):
+                e = row[i]
+                if e is not None:
+                    q = queues[i]
+                    d = n - q.popleft()
+                    mc[e] += 1
+                    ds[e] += d
+                    dq[e] += float(d * d)
+                    if q:
+                        head = q[0]
+                        end = len(order)
+                        pos = k + 1
+                        while pos < end and queues[order[pos]][0] < head:
+                            pos += 1
+                        if pos > k + 1:
+                            del order[k]
+                            order.insert(pos - 1, i)
+                            changed = True
+                    else:
+                        del order[k]
+                        changed = True
+                    break
+            else:
+                lc[j] += 1
+        if changed:
+            if n > run_start:
+                occ[key] = occ.get(key, 0) + n - run_start
+                run_start = n
+            key = tuple(order)
+        n += 1
+    if n > run_start:
+        occ[key] = occ.get(key, 0) + n - run_start
+    return agents
+
+
 def run(
     model: MatchingModel,
     n_events: int,
@@ -218,11 +344,8 @@ def run(
     Statistics ignore the first burn_in events and split the rest into BATCHES
     batches. Matches, delays and squared delays are counted per edge, in
     model.edge_list order, and losses per good type; a batch's goods are its
-    matches plus its losses. The uniform stream is numpy's default generator
-    read as rng.random((2, m)) per chunk of m = _kernel.CHUNK items (the last
-    chunk shorter): a row of kind uniforms, then a row of type uniforms, so
-    identical arguments give bit-identical stats. The rows are drawn a slice at
-    a time, never a whole chunk.
+    matches plus its losses. The events come from _event_codes, so identical
+    arguments give bit-identical stats.
     """
     _stable_scan(model)  # refuses an unstable model
     if burn_in is None:  # one percent of the run, at least 10^4, but below the run length
@@ -239,19 +362,13 @@ def run(
 
     n_agent = model.n_agent_types
     n_good = model.n_good_types
-    # an item of kind uniform u_kind and type uniform u_type is agent type
-    # bisect_right(alpha_cum[:-1], u_type) if u_kind < p_agent, else good type
-    # bisect_right(beta_cum[:-1], u_type); searchsorted side="right" is the same
-    alpha_edges = np.cumsum(np.asarray(model.alpha))[:-1]
-    beta_edges = np.cumsum(np.asarray(model.beta))[:-1]
     edge_of = [[None] * n_agent for _ in range(n_good)]
     for e, (g, a) in enumerate(model.edge_list):
         edge_of[model.good_index[g]][model.agent_index[a]] = e
-    p_agent = model.lambda_bar / model.total_rate
 
     queues = [deque() for _ in range(n_agent)]
     order: list[int] = []
-    tallies: list[_kernel.BatchTally] = []  # of the counted batches, their occupancy merged
+    tallies: list[_BatchTally] = []  # of the counted batches, their occupancy merged
     # occupancy entries of all batches, batch after batch: order row and count
     order_rows: dict[tuple[int, ...], int] = {}
     entry_rows: list[int] = []
@@ -263,32 +380,15 @@ def run(
     span = n_events - burn_in
     starts = [burn_in + -(-b * span // n_batches) for b in range(n_batches + 1)]
 
-    # one generator reads each row; at a chunk's start the kind generator
-    # skips the previous chunk's type row and the type generator this chunk's
-    # kind row
-    kind_rng = np.random.default_rng(seed)
-    type_rng = np.random.default_rng(seed)
+    codes = itertools.chain.from_iterable(_event_codes(model, n_events, seed))
     total_agents = 0
-    m = pos = chunk_end = 0
+    lo = 0
     for hi in starts:
-        tally = _kernel.BatchTally(len(model.edge_list), n_good)
-        while pos < hi:
-            if pos == chunk_end:
-                kind_rng.bit_generator.advance(m)
-                m = min(_kernel.CHUNK, n_events - pos)
-                type_rng.bit_generator.advance(m)
-                chunk_end = pos + m
-            end = min(hi, chunk_end, pos + _kernel.SLICE)
-            u_type = type_rng.random(end - pos)
-            codes = np.where(
-                kind_rng.random(end - pos) < p_agent,
-                np.searchsorted(alpha_edges, u_type, side="right"),
-                n_agent + np.searchsorted(beta_edges, u_type, side="right"),
-            )
-            total_agents += _kernel.sim_slice(
-                codes.tolist(), pos, n_agent, edge_of, queues, order, tally
-            )
-            pos = end
+        tally = _BatchTally(len(model.edge_list), n_good)
+        total_agents += _sim_batch(
+            itertools.islice(codes, hi - lo), lo, n_agent, edge_of, queues, order, tally
+        )
+        lo = hi
         if hi == burn_in:
             continue  # the burn-in
         tallies.append(tally)

@@ -527,6 +527,23 @@ def joined(first, second):
         lam, mu)
 
 
+def split_type(model, name, share):
+    """The model with the agent or good type name split into name + "x" and
+    name + "y", of frequencies share and 1 - share of its own, in its place in
+    the declared order, each with all of its edges. lambda_bar and mu_bar are
+    kept."""
+    def names(n):
+        return (n + "x", n + "y") if n == name else (n,)
+
+    def split(types):
+        return [(m, f * part) for n, f in types
+                for m, part in zip(names(n), (share, 1.0 - share) if n == name else (1.0,))]
+
+    edges = [(h, b) for g, a in model.edges for h in names(g) for b in names(a)]
+    return MatchingModel(split(model.agent_types), split(model.good_types), edges,
+                         model.lambda_bar, model.mu_bar)
+
+
 def bench_model(label):
     """The model bench/workloads.py generates for label: I = J = 8, Dirichlet(2)
     frequencies, edge density 0.4, rho = 0.8 rho*. verify-wide's label is

@@ -28,6 +28,7 @@ from oracles import (
     little_agent_factorial_moments,
     little_agent_pgf,
     min_drain,
+    split_type,
     with_flexible_type,
 )
 
@@ -292,6 +293,52 @@ def test_components_factor_exactly():
             for g in comp.good_names:
                 assert rates.loss[t + g] == pytest.approx(comp_rates.loss[g] * share,
                                                           rel=1e-12, abs=0), (full, g)
+
+
+def test_lumped_halves_split_exactly():
+    # FCFS never reads which of two types with the same neighbourhood an item
+    # has, so splitting a type into halves of 0.3 and 0.7 of its frequency
+    # splits its rates and losses in that ratio and leaves every law as it was
+    share = 0.3
+    sizes = _random_models_by_size()
+    for model in (make_example3x3(), bench_model("verify-wide"), *sizes.values()):
+        rates, delays, waits = matching_rates(model), delay_moments(model), wait_moments(model)
+        s = 0.5 * min_stage_rate(model)
+        for names in (model.agent_names, model.good_names):
+            name = names[len(names) // 2]
+            split = split_type(model, name, share)
+
+            def halves(n):
+                return [(n + "x", share), (n + "y", 1.0 - share)] if n == name else [(n, 1.0)]
+
+            got_rates, got_delays, got_waits = (matching_rates(split), delay_moments(split),
+                                                wait_moments(split))
+            assert got_rates.b == pytest.approx(rates.b, rel=1e-12, abs=0), (model, name)
+            for g, loss in rates.loss.items():
+                for h, part in halves(g):
+                    assert got_rates.loss[h] == pytest.approx(part * loss, rel=1e-12, abs=0), (
+                        model, name, h)
+            for (g, a), r in rates.rates.items():
+                expected = (delays.pair_mean[g, a], delays.pair_var[g, a],
+                            waits.pair_mean[g, a], waits.pair_var[g, a])
+                for pair, part in [((h, b), p * q) for h, p in halves(g) for b, q in halves(a)]:
+                    got = (got_delays.pair_mean[pair], got_delays.pair_var[pair],
+                           got_waits.pair_mean[pair], got_waits.pair_var[pair])
+                    assert got_rates.rates[pair] == pytest.approx(part * r, rel=1e-12, abs=0), (
+                        model, pair)
+                    assert got == pytest.approx(expected, rel=1e-12, abs=0), (model, pair)
+                if a == name:  # the split agent's halves keep its transforms
+                    transforms = (delay_pgf(model, (g, a), 0.7), wait_mgf(model, (g, a), s))
+                    for b, _ in halves(a):
+                        assert (delay_pgf(split, (g, b), 0.7), wait_mgf(split, (g, b), s)) == (
+                            pytest.approx(transforms, rel=1e-12, abs=0)), (model, g, b)
+            for a in model.agent_names:
+                expected = (delays.agent_mean[a], delays.agent_var[a], waits.agent_mean[a],
+                            waits.agent_var[a])
+                for b, _ in halves(a):
+                    got = (got_delays.agent_mean[b], got_delays.agent_var[b],
+                           got_waits.agent_mean[b], got_waits.agent_var[b])
+                    assert got == pytest.approx(expected, rel=1e-12, abs=0), (model, b)
 
 
 def test_moment_positivity_random_models():

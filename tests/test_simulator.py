@@ -19,7 +19,7 @@ from fcfs_match import (
     normalizing_constant,
     pi_y_perm,
 )
-from fcfs_match import _kernel, simulator
+from fcfs_match import simulator
 from fcfs_match.errors import DomainError, DuplicateType, UnknownIdentifier
 from fcfs_match.simulator import _batch_means, _batch_variances, _z, run
 
@@ -200,11 +200,12 @@ _COUNTERS = ("match_counts", "loss_counts", "delay_sums", "delay_sqs", "goods_co
 
 
 def test_slice_boundaries_preserve_results(example3x3, warm_kernel, monkeypatch):
-    # a slice of 97 events ends inside batches, so the kernel's state and the
-    # run-length tally of the current order carry across slice ends
+    # a slice of 97 events ends inside batches, so the kernel reads each batch
+    # across list ends of the chained stream, and the run-length tally of the
+    # current order carries on within the batch
     models = (example3x3, _random_multi_type_model())
     default = [run(model, 60_000, seed=11, burn_in=2_000) for model in models]
-    monkeypatch.setattr(_kernel, "SLICE", 97)
+    monkeypatch.setattr(simulator, "SLICE", 97)
     for model, ref in zip(models, default):
         short = run(model, 60_000, seed=11, burn_in=2_000)
         for field in _COUNTERS:
@@ -327,8 +328,8 @@ def test_stream_crosses_chunk_ends(example3x3, which, monkeypatch):
     n, burn_in, n_batches, seed = 5_500, 1_500, 50, 31
     orders, events, waiting = _reference_orders(model, n, seed, chunk=1_000)
     counters, occupancy = _reference_counters(model, orders, events, burn_in, n_batches)
-    monkeypatch.setattr(_kernel, "CHUNK", 1_000)
-    monkeypatch.setattr(_kernel, "SLICE", 97)
+    monkeypatch.setattr(simulator, "CHUNK", 1_000)
+    monkeypatch.setattr(simulator, "SLICE", 97)
     monkeypatch.setattr(simulator, "BATCHES", n_batches)
     stats = run(model, n, seed=seed, burn_in=burn_in)
     for field, expected in counters.items():
