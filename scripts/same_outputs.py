@@ -10,7 +10,9 @@ interpreters generating the same model may not agree.
 
 Per model the calls are: validate; rates, delays and waits, each as json, as
 csv and as --table; sweep over [rho/2, rho] in 3 steps; simulate --events
-20000 --seed 3; and verify with the same arguments. That verify call exits 5
+20000 --seed 3; and verify with the same arguments. paper-3x3 also runs
+sweep --rho-min 0.05 --rho-max 0.95 --steps 19, the README's curve and the
+bench's grid, so the gate holds a many-point grid. That verify call exits 5
 on every bench model, at every tree since at least the one that added this
 script: with the default burn-in of 10^4 it tallies 50 batches of 200
 events, too few to pass. Identical exit codes, not exit 0, are what the
@@ -35,6 +37,7 @@ ROOT = Path(__file__).resolve().parent.parent
 ANALYTIC_WIDE_MODELS = range(1, 44)
 REPORTS = ("rates", "delays", "waits")
 REPORT_FORMATS = (["--format", "json"], ["--format", "csv"], ["--table"])
+PUBLISHED_SWEEP = ["--rho-min", "0.05", "--rho-max", "0.95", "--steps", "19"]
 
 # Runs in the child interpreter: reads a JSON list of argv lists on stdin and
 # writes a JSON list of [exit code, stdout, stderr] on stdout.
@@ -69,12 +72,14 @@ def bench_models() -> dict[str, dict]:
     return models
 
 
-def calls_for(path: str, model: dict) -> list[list[str]]:
+def calls_for(name: str, path: str, model: dict) -> list[list[str]]:
     rho = model["lambda_bar"] / model["mu_bar"]
     calls = [["validate", "--model", path]]
     calls += [[command, "--model", path, *form] for command in REPORTS for form in REPORT_FORMATS]
     calls.append(["sweep", "--model", path, "--rho-min", repr(rho / 2), "--rho-max", repr(rho),
                   "--steps", "3"])
+    if name == "paper-3x3":
+        calls.append(["sweep", "--model", path, *PUBLISHED_SWEEP])
     calls += [[command, "--model", path, "--events", "20000", "--seed", "3"]
               for command in ("simulate", "verify")]
     return calls
@@ -100,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
         for name, model in bench_models().items():
             path = Path(tmp) / (name.replace("/", "-") + ".json")
             path.write_text(json.dumps(model), encoding="utf-8")
-            for call in calls_for(str(path), model):
+            for call in calls_for(name, str(path), model):
                 names.append(name)
                 calls.append(call)
         before = run_tree(Path(args.before).resolve(), calls)

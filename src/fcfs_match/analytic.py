@@ -315,30 +315,6 @@ class RateReport(NamedTuple):
     def agent_throughput(self, agent: str) -> float:
         return sum(v for (_, a), v in self.rates.items() if a == agent)
 
-    def to_json_dict(self) -> dict:
-        from ._format import round12
-
-        return {
-            "b": round12(self.b),
-            "rates": {g: {a: round12(v) for (gg, a), v in self.rates.items() if gg == g}
-                      for g in self.loss},
-            "loss": {g: round12(v) for g, v in self.loss.items()},
-            "eta": {g: {("LOST" if a is None else a): round12(v) for a, v in dist.items()}
-                    for g, dist in self.eta.items()},
-            "theta": {a: {g: round12(v) for g, v in dist.items()}
-                      for a, dist in self.theta.items()},
-        }
-
-    def to_csv(self) -> str:
-        from ._format import fmt12
-
-        lines = ["good,agent,rate"]
-        for (g, a), v in self.rates.items():
-            lines.append(f"{g},{a},{fmt12(v)}")
-        for g, v in self.loss.items():
-            lines.append(f"{g},LOST,{fmt12(v)}")
-        return "\n".join(lines) + "\n"
-
 
 def matching_rates(model: MatchingModel) -> RateReport:
     """All matching rates and loss rates from the subset table.

@@ -6,9 +6,11 @@ that underflows to zero (ZeroRate), 3 unstable model or grid point, 4 too
 many agent types (the lists over the 2^I agent sets would not fit in
 memory), 5 verification failure.
 
-verify writes a 5-column CSV whose quantity field is not quoted: pair
-quantities such as rate[s1,c1] hold a comma, so split each row from the right
-(4 times) to read it.
+This module owns every output form: the JSON payloads, the CSV files (one
+writer, _csv, prints every number with fmt12) and the --table layouts. The
+report types and SimStats it prints hold plain data. verify writes a 5-column
+CSV whose quantity field is not quoted: pair quantities such as rate[s1,c1]
+hold a comma, so split each row from the right (4 times) to read it.
 
 Each command imports the modules it runs inside its function, so a call loads
 only those: validate loads no analytic module, rates no delay module, and only
@@ -23,7 +25,6 @@ import math
 import sys
 
 from . import __version__
-from ._format import fmt12, round12
 from .errors import (
     DomainError,
     FcfsMatchError,
@@ -39,6 +40,24 @@ EXIT_INVALID = 2
 EXIT_UNSTABLE = 3
 EXIT_TOO_LARGE = 4
 EXIT_VERIFY_FAILED = 5
+
+
+def fmt12(x: float) -> str:
+    """Scientific notation with 12 fractional digits; parses back to within
+    1e-12 relative of the in-memory value."""
+    return format(float(x), ".12e")
+
+
+def round12(x: float) -> float:
+    """The float that fmt12 would print (used for JSON payloads)."""
+    return float(fmt12(x))
+
+
+def _csv(header: str, rows) -> str:
+    """header, then one line per row: string cells as they are, numbers as fmt12."""
+    lines = [header]
+    lines += [",".join(c if isinstance(c, str) else fmt12(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _write(args, text: str) -> None:
@@ -67,8 +86,7 @@ def _rate_table(model, report) -> str:
 
 
 def _moment_table(model, report, label: str) -> str:
-    pair_mean, pair_var = report.pair_mean, report.pair_var
-    agent_mean, agent_var = report.agent_mean, report.agent_var
+    pair_mean, pair_var, agent_mean, agent_var = report
     agents = model.agent_names
     lines = [f"{label} mean" + "".join(f"{a:>9}" for a in agents)]
     for g in model.good_names:
@@ -86,6 +104,75 @@ def _moment_table(model, report, label: str) -> str:
         + "  ".join(f"{a}: {agent_mean[a]:.2f} (sd {agent_var[a] ** 0.5:.2f})" for a in agents)
     )
     return "\n".join(lines) + "\n"
+
+
+def _rate_json(report) -> dict:
+    return {
+        "b": round12(report.b),
+        "rates": {g: {a: round12(v) for (gg, a), v in report.rates.items() if gg == g}
+                  for g in report.loss},
+        "loss": {g: round12(v) for g, v in report.loss.items()},
+        "eta": {g: {("LOST" if a is None else a): round12(v) for a, v in dist.items()}
+                for g, dist in report.eta.items()},
+        "theta": {a: {g: round12(v) for g, v in dist.items()}
+                  for a, dist in report.theta.items()},
+    }
+
+
+def _rate_csv(report) -> str:
+    rows = [(g, a, v) for (g, a), v in report.rates.items()]
+    rows += [(g, "LOST", v) for g, v in report.loss.items()]
+    return _csv("good,agent,rate", rows)
+
+
+def _moment_json(report) -> dict:
+    pm, pv, am, av = report
+    return {
+        "pairs": {f"{g},{a}": {"mean": round12(pm[(g, a)]), "variance": round12(pv[(g, a)])}
+                  for (g, a) in pm},
+        "agents": {a: {"mean": round12(am[a]), "variance": round12(av[a])} for a in am},
+    }
+
+
+def _moment_csv(report) -> str:
+    pm, pv, am, av = report
+    return (_csv("good,agent,mean,variance", [(g, a, pm[(g, a)], pv[(g, a)]) for (g, a) in pm])
+            + "\n" + _csv("agent,mean,variance", [(a, am[a], av[a]) for a in am]))
+
+
+def _sweep_csv(series) -> str:
+    rows = []
+    for t, rho in enumerate(series.rho_grid):
+        rows += [(rho, g, a, series.rates[(g, a)][t], series.delay_mean[(g, a)][t],
+                  series.delay_var[(g, a)][t]) for (g, a) in series.rates]
+        rows += [(rho, g, "LOST", series.loss[g][t], "", "") for g in series.loss]
+    return _csv("rho,good,agent,rate,delay_mean,delay_var", rows)
+
+
+def _simulate_json(stats) -> dict:
+    def est(e):
+        return {"value": round12(e.value), "stderr": round12(e.stderr) if math.isfinite(e.stderr) else None}
+
+    ests = stats._estimates()
+    # an edge that no match reached has no delay mean, and is left out
+    matched = [edge for edge, e in ests["delay_mean"].items() if not math.isnan(e.value)]
+    return {
+        "seeds": [stats.seed],
+        "n_events": stats.n_events,
+        "burn_in": stats.burn_in,
+        "n_batches": stats.n_batches,
+        "total_agents": stats.total_agents,
+        "total_goods": stats.total_goods,
+        "final_unmatched": stats.final_unmatched,
+        "events_post_burn_in": stats.events_post_burn_in,
+        "empty_state": est(stats.b_hat()),
+        "rates": {f"{g},{a}": est(ests["rate"][g, a]) for g, a in matched},
+        "loss": {g: est(e) for g, e in ests["loss"].items()},
+        "delays": {f"{g},{a}": {"mean": est(ests["delay_mean"][g, a]),
+                                "variance": est(ests["delay_var"][g, a])} for g, a in matched},
+        "occupancy": {">".join(k): {str(b): n for b, n in cells.items()}
+                      for k, cells in sorted(stats.occupancy.items())},
+    }
 
 
 def cmd_validate(args) -> int:
@@ -115,35 +202,38 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_report(args, compute, table) -> int:
-    """Write compute(model) as JSON, as CSV or, with --table, as table(model, report)."""
+def _cmd_report(args, compute, to_json, to_csv, table) -> int:
+    """Write report = compute(model) as to_json(report), as to_csv(report) or,
+    with --table, as table(model, report)."""
     model = load_model(args.model)
     report = compute(model)
     if args.table:
         _write(args, table(model, report))
     elif args.format == "csv":
-        _write(args, report.to_csv())
+        _write(args, to_csv(report))
     else:
-        _emit_json(args, report.to_json_dict())
+        _emit_json(args, to_json(report))
     return EXIT_OK
 
 
 def cmd_rates(args) -> int:
     from .analytic import matching_rates
 
-    return _cmd_report(args, matching_rates, _rate_table)
+    return _cmd_report(args, matching_rates, _rate_json, _rate_csv, _rate_table)
 
 
 def cmd_delays(args) -> int:
     from .delays import delay_moments
 
-    return _cmd_report(args, delay_moments, lambda m, r: _moment_table(m, r, "delay"))
+    return _cmd_report(args, delay_moments, _moment_json, _moment_csv,
+                       lambda m, r: _moment_table(m, r, "delay"))
 
 
 def cmd_waits(args) -> int:
     from .delays import wait_moments
 
-    return _cmd_report(args, wait_moments, lambda m, r: _moment_table(m, r, "wait"))
+    return _cmd_report(args, wait_moments, _moment_json, _moment_csv,
+                       lambda m, r: _moment_table(m, r, "wait"))
 
 
 def _grid(args) -> list[float]:
@@ -154,7 +244,8 @@ def _grid(args) -> list[float]:
     if args.steps == 1:
         return [args.rho_min]
     step = (args.rho_max - args.rho_min) / (args.steps - 1)
-    return [args.rho_min + k * step for k in range(args.steps)]
+    # the last point is rho-max itself: rho_min + (steps - 1) * step can round above it
+    return [args.rho_min + k * step for k in range(args.steps - 1)] + [args.rho_max]
 
 
 def cmd_sweep(args) -> int:
@@ -162,7 +253,7 @@ def cmd_sweep(args) -> int:
 
     model = load_model(args.model)
     series = sweep(model, _grid(args))
-    _write(args, series.to_csv())
+    _write(args, _sweep_csv(series))
     return EXIT_OK
 
 
@@ -171,7 +262,7 @@ def cmd_simulate(args) -> int:
 
     model = load_model(args.model)
     stats = run(model, args.events, args.seed, burn_in=args.burn_in)
-    _emit_json(args, stats.to_json_dict())
+    _emit_json(args, _simulate_json(stats))
     return EXIT_OK
 
 
@@ -183,13 +274,7 @@ def cmd_verify(args) -> int:
     model = load_model(args.model)
     stats = run(model, args.events, args.seed, burn_in=args.burn_in)
     rows = compare_with_analytic(model, stats)
-    lines = ["quantity,analytic,empirical,stderr,z_score"]
-    for row in rows:
-        lines.append(
-            f"{row.quantity},{fmt12(row.analytic)},{fmt12(row.empirical)},"
-            f"{fmt12(row.stderr)},{fmt12(row.z)}"
-        )
-    _write(args, "\n".join(lines) + "\n")
+    _write(args, _csv("quantity,analytic,empirical,stderr,z_score", rows))
     # a row without a finite z could not be checked, so it fails too
     unestimable = [row.quantity for row in rows if not math.isfinite(row.z)]
     worst = max((abs(row.z) for row in rows if math.isfinite(row.z)), default=0.0)

@@ -63,33 +63,6 @@ class DelayReport(NamedTuple):
     agent_mean: dict[str, float]
     agent_var: dict[str, float]
 
-    def to_json_dict(self) -> dict:
-        from ._format import round12
-
-        pm, pv, am, av = self.pair_mean, self.pair_var, self.agent_mean, self.agent_var
-        return {
-            "pairs": {
-                f"{g},{a}": {"mean": round12(pm[(g, a)]), "variance": round12(pv[(g, a)])}
-                for (g, a) in pm
-            },
-            "agents": {
-                a: {"mean": round12(am[a]), "variance": round12(av[a])} for a in am
-            },
-        }
-
-    def to_csv(self) -> str:
-        from ._format import fmt12
-
-        pm, pv, am, av = self.pair_mean, self.pair_var, self.agent_mean, self.agent_var
-        lines = ["good,agent,mean,variance"]
-        for (g, a) in pm:
-            lines.append(f"{g},{a},{fmt12(pm[(g, a)])},{fmt12(pv[(g, a)])}")
-        lines.append("")
-        lines.append("agent,mean,variance")
-        for a in am:
-            lines.append(f"{a},{fmt12(am[a])},{fmt12(av[a])}")
-        return "\n".join(lines) + "\n"
-
 
 def delay_moments(model: MatchingModel) -> DelayReport:
     """Means and variances of per-pair and per-agent delays, in sequence positions."""

@@ -46,20 +46,6 @@ class SweepSeries(NamedTuple):
     delay_mean: dict[tuple[str, str], tuple[float, ...]]
     delay_var: dict[tuple[str, str], tuple[float, ...]]
 
-    def to_csv(self) -> str:
-        from ._format import fmt12
-
-        lines = ["rho,good,agent,rate,delay_mean,delay_var"]
-        for t, rho in enumerate(self.rho_grid):
-            for (g, a) in self.rates:
-                lines.append(
-                    f"{fmt12(rho)},{g},{a},{fmt12(self.rates[(g, a)][t])},"
-                    f"{fmt12(self.delay_mean[(g, a)][t])},{fmt12(self.delay_var[(g, a)][t])}"
-                )
-            for g in self.loss:
-                lines.append(f"{fmt12(rho)},{g},LOST,{fmt12(self.loss[g][t])},,")
-        return "\n".join(lines) + "\n"
-
 
 def sweep(model: MatchingModel, rho_grid) -> SweepSeries:
     """Compute rates and delay moments on a grid of traffic intensities."""

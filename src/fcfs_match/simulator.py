@@ -194,35 +194,6 @@ class SimStats:
     def events_post_burn_in(self) -> int:
         return int(self.events_counts.sum())
 
-    # --- serialization ---
-
-    def to_json_dict(self) -> dict:
-        from ._format import round12
-
-        def est(e: Estimate):
-            return {"value": round12(e.value), "stderr": round12(e.stderr) if math.isfinite(e.stderr) else None}
-
-        ests = self._estimates()
-        # an edge that no match reached has no delay mean, and is left out
-        matched = [edge for edge, e in ests["delay_mean"].items() if not math.isnan(e.value)]
-        return {
-            "seeds": [self.seed],
-            "n_events": self.n_events,
-            "burn_in": self.burn_in,
-            "n_batches": self.n_batches,
-            "total_agents": self.total_agents,
-            "total_goods": self.total_goods,
-            "final_unmatched": self.final_unmatched,
-            "events_post_burn_in": self.events_post_burn_in,
-            "empty_state": est(self.b_hat()),
-            "rates": {f"{g},{a}": est(ests["rate"][g, a]) for g, a in matched},
-            "loss": {g: est(e) for g, e in ests["loss"].items()},
-            "delays": {f"{g},{a}": {"mean": est(ests["delay_mean"][g, a]),
-                                    "variance": est(ests["delay_var"][g, a])} for g, a in matched},
-            "occupancy": {">".join(k): {str(b): n for b, n in cells.items()}
-                          for k, cells in sorted(self.occupancy.items())},
-        }
-
 
 class _BatchTally:
     """Counters of one batch: one per edge, in model.edge_list order, for the

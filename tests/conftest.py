@@ -76,6 +76,22 @@ def random_stable_model(
     return model.with_lambda_bar(rho * model.mu_bar)
 
 
+def random_multi_type_model() -> MatchingModel:
+    """The first draw with at least 4 agent types and 2 good types."""
+    rng = np.random.default_rng(3)
+    while True:
+        model = random_stable_model(rng, max_agents=6, max_goods=4, rho_cap=0.95)
+        if model.n_agent_types >= 4 and model.n_good_types >= 2:
+            return model
+
+
+def dense_row(cells: dict[int, int], n_batches: int) -> np.ndarray:
+    """The (batches,) int64 counts of one order's {batch: events} cells."""
+    row = np.zeros(n_batches, dtype=np.int64)
+    row[list(cells)] = list(cells.values())
+    return row
+
+
 @pytest.fixture(scope="session")
 def example3x3() -> MatchingModel:
     return make_example3x3()

@@ -347,24 +347,6 @@ def test_scale_invariance(example3x3):
             assert scaled.eta[g][key] == pytest.approx(v, rel=1e-12)
 
 
-def test_rate_report_serialization_round_trip(example3x3):
-    report = matching_rates(example3x3)
-    payload = report.to_json_dict()
-    assert payload["b"] == pytest.approx(report.b, rel=1e-12)
-    for (g, a), v in report.rates.items():
-        assert payload["rates"][g][a] == pytest.approx(v, rel=1e-12)
-    lines = report.to_csv().strip().splitlines()
-    assert lines[0] == "good,agent,rate"
-    parsed = {}
-    for line in lines[1:]:
-        g, a, v = line.split(",")
-        parsed[(g, a)] = float(v)
-    for (g, a), v in report.rates.items():
-        assert parsed[(g, a)] == pytest.approx(v, rel=1e-12)
-    for g, v in report.loss.items():
-        assert parsed[(g, "LOST")] == pytest.approx(v, rel=1e-12)
-
-
 def test_rates_against_truncated_balance_oracle():
     # three agent types at moderate load: gap-capped balance equations are
     # exact to far below the 1e-6 comparison tolerance

@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 import fcfs_match
-from fcfs_match import matching_rates, save_model, validate, MatchingModel, ZeroRate
-from fcfs_match._format import round12
-from fcfs_match.cli import main
+from fcfs_match import (delay_moments, load_model, matching_rates, save_model, validate,
+                        wait_moments, MatchingModel, ZeroRate)
+from fcfs_match.cli import fmt12, main, round12
+from fcfs_match.simulator import run
 
-from conftest import make_disjoint_pairs, make_example3x3, make_single_pair, random_stable_model
+from conftest import (dense_row, make_disjoint_pairs, make_example3x3, make_single_pair,
+                      random_multi_type_model, random_stable_model)
 from oracles import min_drain
 
 
@@ -218,6 +220,74 @@ def test_rates_csv_round_trips_within_1e12(tmp_path, model_file, example3x3):
         assert abs(parsed[(g, "LOST")] - v) <= 1e-12 * max(1.0, abs(v))
 
 
+def test_rate_report_serialization_round_trip(capsys, model_file, example3x3):
+    report = matching_rates(example3x3)
+    assert main(["rates", "--model", str(model_file)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["b"] == pytest.approx(report.b, rel=1e-12)
+    for (g, a), v in report.rates.items():
+        assert payload["rates"][g][a] == pytest.approx(v, rel=1e-12)
+    assert main(["rates", "--model", str(model_file), "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "good,agent,rate"
+    parsed = {}
+    for line in lines[1:]:
+        g, a, v = line.split(",")
+        parsed[(g, a)] = float(v)
+    for (g, a), v in report.rates.items():
+        assert parsed[(g, a)] == pytest.approx(v, rel=1e-12)
+    for g, v in report.loss.items():
+        assert parsed[(g, "LOST")] == pytest.approx(v, rel=1e-12)
+
+
+def test_delay_report_serialization_round_trip(capsys, model_file, example3x3):
+    for command, report in (("delays", delay_moments(example3x3)),
+                            ("waits", wait_moments(example3x3))):
+        pm, am = report.pair_mean, report.agent_mean
+        assert main([command, "--model", str(model_file)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        for (g, a), v in pm.items():
+            assert abs(payload["pairs"][f"{g},{a}"]["mean"] - v) <= 1e-12 * max(1.0, abs(v))
+        assert main([command, "--model", str(model_file), "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "good,agent,mean,variance"
+        split = lines.index("")
+        for line in lines[1:split]:
+            g, a, mean, var = line.split(",")
+            assert abs(float(mean) - pm[(g, a)]) <= 1e-12 * max(1.0, abs(pm[(g, a)]))
+        assert lines[split + 1] == "agent,mean,variance"
+        for line in lines[split + 2:]:
+            a, mean, var = line.split(",")
+            assert abs(float(mean) - am[a]) <= 1e-12 * max(1.0, abs(am[a]))
+
+
+def test_sweep_csv_shape(capsys, model_file):
+    argv = ["sweep", "--model", str(model_file), "--rho-min", "0.3", "--rho-max", "0.7"]
+    assert main([*argv, "--steps", "2"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0] == "rho,good,agent,rate,delay_mean,delay_var"
+    assert len(lines) == 1 + 2 * (6 + 3)
+    lost = [l for l in lines if ",LOST," in l]
+    assert len(lost) == 6
+    assert all(l.endswith(",,") for l in lost)
+
+
+def test_sweep_last_point_is_rho_max(capsys, model_file):
+    # rho_min + 19 * step rounds one ulp above rho-max, the largest rho that
+    # check_stability calls stable on this model, to a point that is not
+    rho_min, rho_max = 0.07317316427029831, 0.9999999999979998
+    assert rho_min + 19 * ((rho_max - rho_min) / 19) > rho_max
+    argv = ["sweep", "--model", str(model_file), "--rho-min", repr(rho_min)]
+    assert main([*argv, "--rho-max", repr(rho_max), "--steps", "20"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1 + 20 * (6 + 3)
+    assert lines[-1].split(",")[0] == fmt12(rho_max)
+    above = repr(math.nextafter(rho_max, 1.0))
+    assert main(["sweep", "--model", str(model_file), "--rho-min", above, "--rho-max", above,
+                 "--steps", "1"]) == 3
+    assert "is not stable" in capsys.readouterr().err
+
+
 def test_sweep_row_count_and_consistency(tmp_path, capsys, model_file, example3x3):
     assert main([
         "sweep", "--model", str(model_file),
@@ -310,6 +380,44 @@ def test_simulate_is_deterministic(tmp_path, model_file, warm_kernel):
     assert out1.read_text() == out2.read_text()
     payload = json.loads(out1.read_text())
     assert payload["n_events"] == 30000
+
+
+def test_simulate_json_shape(capsys, model_file, warm_kernel):
+    assert main(["simulate", "--model", str(model_file), "--events", "30000", "--seed", "3",
+                 "--burn-in", "1000"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n_events"] == 30_000
+    assert set(payload["loss"]) == {"s1", "s2", "s3"}
+    assert "s3,c2" in payload["rates"]
+
+
+@pytest.mark.parametrize("which", ["example3x3", "random"])
+def test_json_occupancy_is_the_nonzero_cells(tmp_path, capsys, example3x3, which, warm_kernel):
+    # "occupancy" maps each order, joined by ">" and sorted, the empty one as
+    # "", to {batch: events} over the batches with events in it; densified, it
+    # is the per-batch counts of run's entries
+    path = _model_path(tmp_path, example3x3 if which == "example3x3" else random_multi_type_model())
+    assert main(["simulate", "--model", path, "--events", "30000", "--seed", "3",
+                 "--burn-in", "1000"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    model = load_model(path)
+    stats = run(model, 30_000, seed=3, burn_in=1_000)
+    assert json.dumps(payload, indent=2) + "\n" == out  # every key printed once, as a string
+    block = payload["occupancy"]
+    assert "" in block
+    assert list(block) == sorted(block, key=lambda k: k.split(">"))
+    for cells in block.values():
+        assert list(map(int, cells)) == sorted(map(int, cells))
+        assert all(type(n) is int and n > 0 for n in cells.values())
+    dense = np.zeros((len(stats.order_rows), stats.n_batches), dtype=np.int64)
+    dense[stats.entry_rows, stats.entry_batches] = stats.entry_counts
+    names = model.agent_names
+    expected = {">".join(names[i] for i in key): row for key, row in zip(stats.order_rows, dense)}
+    assert block.keys() == expected.keys()
+    for order, cells in block.items():
+        densified = dense_row({int(b): n for b, n in cells.items()}, stats.n_batches)
+        assert np.array_equal(densified, expected[order]), order
 
 
 def test_simulate_and_verify_report_the_same_estimates(tmp_path, capsys, warm_kernel):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from fcfs_match import (
     wait_moments,
 )
 from fcfs_match.errors import DuplicateType, UnknownIdentifier
+from fcfs_match.simulator import _event_codes, run
 
 from conftest import make_example3x3, make_single_pair, random_stable_model
 from oracles import (
@@ -341,6 +343,51 @@ def test_lumped_halves_split_exactly():
                     assert got == pytest.approx(expected, rel=1e-12, abs=0), (model, b)
 
 
+def _merged(counts, keys, base_keys):
+    """(batches, len(base_keys)) sums of the columns of counts, one per key of
+    keys, onto the column of the base key each maps to."""
+    out = np.zeros((len(counts), len(base_keys)), dtype=counts.dtype)
+    for k, key in enumerate(keys):
+        out[:, base_keys.index(key)] += counts[:, k]
+    return out
+
+
+def test_simulator_lumps_split_halves_exactly():
+    # the halves sit next to each other in declared order, so their uniform
+    # ranges tile the split type's: every event decodes to a half of the type
+    # it had, the queues act the same, and the split run's counters, merged
+    # back onto the base model's edges and goods, are bit-identical
+    share, seed = 0.3, 1
+    for model, n_events in ((make_example3x3(), 100_000), (bench_model("verify-wide"), 200_000)):
+        base = run(model, n_events, seed)
+        base_codes = list(itertools.chain.from_iterable(_event_codes(model, n_events, seed)))
+        for names in (model.agent_names, model.good_names):
+            name = names[len(names) // 2]
+            split = split_type(model, name, share)
+
+            def original(n):
+                return name if n in (name + "x", name + "y") else n
+
+            to_base = [model.agent_index[original(a)] for a in split.agent_names]
+            to_base += [model.n_agent_types + model.good_index[original(g)] for g in split.good_names]
+            codes = itertools.chain.from_iterable(_event_codes(split, n_events, seed))
+            assert sum(to_base[c] != b for c, b in zip(codes, base_codes)) == 0, (model, name)
+
+            stats = run(split, n_events, seed)
+            edges = [(original(g), original(a)) for g, a in split.edge_list]
+            goods = [original(g) for g in split.good_names]
+            for field, keys, base_keys in (("match_counts", edges, model.edge_list),
+                                           ("delay_sums", edges, model.edge_list),
+                                           ("delay_sqs", edges, model.edge_list),
+                                           ("loss_counts", goods, model.good_names)):
+                assert np.array_equal(_merged(getattr(stats, field), keys, base_keys),
+                                      getattr(base, field)), (model, name, field)
+            assert np.array_equal(stats.events_counts, base.events_counts)
+            assert (stats.total_agents, stats.final_unmatched) == (base.total_agents,
+                                                                   base.final_unmatched)
+            assert stats.occupancy[()] == base.occupancy[()], (model, name)
+
+
 def test_moment_positivity_random_models():
     rng = np.random.default_rng(29)
     for _ in range(12):
@@ -412,24 +459,6 @@ def test_min_stage_rate_builds_no_table():
     assert "subset_table" not in vars(model)
     with pytest.raises(UnstableModel):
         min_stage_rate(make_example3x3(lambda_bar=1.0))
-
-
-def test_delay_report_serialization_round_trip(example3x3):
-    for report in (delay_moments(example3x3), wait_moments(example3x3)):
-        pm, am = report.pair_mean, report.agent_mean
-        payload = report.to_json_dict()
-        for (g, a), v in pm.items():
-            assert abs(payload["pairs"][f"{g},{a}"]["mean"] - v) <= 1e-12 * max(1.0, abs(v))
-        lines = report.to_csv().splitlines()
-        assert lines[0] == "good,agent,mean,variance"
-        split = lines.index("")
-        for line in lines[1:split]:
-            g, a, mean, var = line.split(",")
-            assert abs(float(mean) - pm[(g, a)]) <= 1e-12 * max(1.0, abs(pm[(g, a)]))
-        assert lines[split + 1] == "agent,mean,variance"
-        for line in lines[split + 2:]:
-            a, mean, var = line.split(",")
-            assert abs(float(mean) - am[a]) <= 1e-12 * max(1.0, abs(am[a]))
 
 
 def test_pgf_second_factorial_moment(example3x3):

@@ -111,16 +111,6 @@ def test_sweep_refuses_a_point_without_a_positive_finite_lambda_bar(grid):
         sweep(model, grid)
 
 
-def test_sweep_csv_shape(example3x3):
-    series = sweep(example3x3, [0.3, 0.7])
-    lines = series.to_csv().strip().splitlines()
-    assert lines[0] == "rho,good,agent,rate,delay_mean,delay_var"
-    assert len(lines) == 1 + 2 * (6 + 3)
-    lost = [l for l in lines if ",LOST," in l]
-    assert len(lost) == 6
-    assert all(l.endswith(",,") for l in lost)
-
-
 def test_heavy_traffic_loss_vanishes():
     report = matching_rates(make_example3x3(lambda_bar=0.999))
     assert math.fsum(report.loss.values()) == pytest.approx(0.001, abs=1e-9)

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import math
 import tracemalloc
 from collections import Counter, defaultdict
@@ -23,7 +22,7 @@ from fcfs_match import simulator
 from fcfs_match.errors import DomainError, DuplicateType, UnknownIdentifier
 from fcfs_match.simulator import _batch_means, _batch_variances, _z, run
 
-from conftest import make_example3x3, random_stable_model
+from conftest import dense_row, make_example3x3, random_multi_type_model, random_stable_model
 from oracles import ratio_estimate, variance_estimate
 from reference_dynamics import (
     AGENT,
@@ -203,7 +202,7 @@ def test_slice_boundaries_preserve_results(example3x3, warm_kernel, monkeypatch)
     # a slice of 97 events ends inside batches, so the kernel reads each batch
     # across list ends of the chained stream, and the run-length tally of the
     # current order carries on within the batch
-    models = (example3x3, _random_multi_type_model())
+    models = (example3x3, random_multi_type_model())
     default = [run(model, 60_000, seed=11, burn_in=2_000) for model in models]
     monkeypatch.setattr(simulator, "SLICE", 97)
     for model, ref in zip(models, default):
@@ -276,25 +275,9 @@ def _nonzero_cells(dense: dict) -> dict:
     return {key: {b: int(row[b]) for b in np.flatnonzero(row).tolist()} for key, row in dense.items()}
 
 
-def _dense_row(cells: dict[int, int], n_batches: int) -> np.ndarray:
-    """The (batches,) int64 counts of one order's {batch: events} cells."""
-    row = np.zeros(n_batches, dtype=np.int64)
-    row[list(cells)] = list(cells.values())
-    return row
-
-
-def _random_multi_type_model():
-    """The first draw with at least 4 agent types and 2 good types."""
-    rng = np.random.default_rng(3)
-    while True:
-        model = random_stable_model(rng, max_agents=6, max_goods=4, rho_cap=0.95)
-        if model.n_agent_types >= 4 and model.n_good_types >= 2:
-            return model
-
-
 @pytest.mark.parametrize("which", ["example3x3", "random"])
 def test_occupancy_tally_matches_reference_orders(example3x3, which, monkeypatch):
-    model = example3x3 if which == "example3x3" else _random_multi_type_model()
+    model = example3x3 if which == "example3x3" else random_multi_type_model()
     n, seed, n_batches = 20_000, 23, 50
     orders, events, _ = _reference_orders(model, n, seed)
     # a matched head whose queue still holds agents can move behind other types
@@ -324,7 +307,7 @@ def test_occupancy_tally_matches_reference_orders(example3x3, which, monkeypatch
 def test_stream_crosses_chunk_ends(example3x3, which, monkeypatch):
     # chunks of 1000 items put five chunk ends in the run, one inside the
     # burn-in: at each, both generators must skip the other's row
-    model = example3x3 if which == "example3x3" else _random_multi_type_model()
+    model = example3x3 if which == "example3x3" else random_multi_type_model()
     n, burn_in, n_batches, seed = 5_500, 1_500, 50, 31
     orders, events, waiting = _reference_orders(model, n, seed, chunk=1_000)
     counters, occupancy = _reference_counters(model, orders, events, burn_in, n_batches)
@@ -360,7 +343,7 @@ def test_run_memory_is_slices_and_entries(example3x3, warm_kernel):
 @pytest.mark.parametrize("n_batches", [2, 63])
 def test_occupancy_entries_are_the_nonzero_cells(example3x3, warm_kernel, n_batches, monkeypatch):
     monkeypatch.setattr(simulator, "BATCHES", n_batches)
-    for model in (example3x3, _random_multi_type_model()):
+    for model in (example3x3, random_multi_type_model()):
         stats = run(model, 20_000, seed=5, burn_in=1_000)
         for field in ("entry_rows", "entry_batches", "entry_counts"):
             assert getattr(stats, field).dtype == np.int64
@@ -394,7 +377,7 @@ def test_pi_y_rows_equal_single_order_estimates(example3x3, warm_kernel, n_batch
     monkeypatch.setattr(simulator, "BATCHES", n_batches)
     monkeypatch.setattr(simulator, "PI_Y_THRESHOLD", 1e-7)
     never_seen = 0
-    for model in (example3x3, _random_multi_type_model()):
+    for model in (example3x3, random_multi_type_model()):
         stats = run(model, 20_000, seed=5, burn_in=1_000)
         rows = compare_with_analytic(model, stats)
         pi_rows = [r for r in rows if r.quantity.startswith("pi_y[")]
@@ -472,7 +455,7 @@ def test_compare_with_analytic_rows(example3x3, warm_kernel):
 def test_every_edge_family_follows_the_model_edge_list(example3x3, which, warm_kernel):
     # one order of the edges, set by the model: goods in declared order, then
     # agents in declared order; every per-edge report and estimate keeps it
-    model = example3x3 if which == "example3x3" else _random_multi_type_model()
+    model = example3x3 if which == "example3x3" else random_multi_type_model()
     edges = list(model.edge_list)
     if which == "example3x3":
         assert edges == [("s1", "c1"), ("s1", "c2"), ("s2", "c1"), ("s2", "c3"),
@@ -489,39 +472,6 @@ def test_every_edge_family_follows_the_model_edge_list(example3x3, which, warm_k
 def test_loss_rate_unknown_good_raises(warm_kernel):
     with pytest.raises(UnknownIdentifier):
         warm_kernel.loss_rate("zz")
-
-
-def test_to_json_dict_shape(example3x3, warm_kernel):
-    stats = run(example3x3, 30_000, seed=3, burn_in=1_000)
-    payload = stats.to_json_dict()
-    assert payload["n_events"] == 30_000
-    assert set(payload["loss"]) == {"s1", "s2", "s3"}
-    assert "s3,c2" in payload["rates"]
-
-
-@pytest.mark.parametrize("which", ["example3x3", "random"])
-def test_json_occupancy_is_the_nonzero_cells(example3x3, which, warm_kernel):
-    # "occupancy" maps each order, joined by ">" and sorted, the empty one as
-    # "", to {batch: events} over the batches with events in it; densified, it
-    # is the per-batch counts of run's entries
-    model = example3x3 if which == "example3x3" else _random_multi_type_model()
-    stats = run(model, 30_000, seed=3, burn_in=1_000)
-    payload = stats.to_json_dict()
-    assert json.loads(json.dumps(payload)) == payload  # every key is a string
-    block = payload["occupancy"]
-    assert "" in block
-    assert list(block) == sorted(block, key=lambda k: k.split(">"))
-    for cells in block.values():
-        assert list(map(int, cells)) == sorted(map(int, cells))
-        assert all(type(n) is int and n > 0 for n in cells.values())
-    dense = np.zeros((len(stats.order_rows), stats.n_batches), dtype=np.int64)
-    dense[stats.entry_rows, stats.entry_batches] = stats.entry_counts
-    names = model.agent_names
-    expected = {">".join(names[i] for i in key): row for key, row in zip(stats.order_rows, dense)}
-    assert block.keys() == expected.keys()
-    for order, cells in block.items():
-        densified = _dense_row({int(b): n for b, n in cells.items()}, stats.n_batches)
-        assert np.array_equal(densified, expected[order]), order
 
 
 def _eight_agent_types_model():
@@ -558,10 +508,10 @@ def test_row_estimates_match_per_row_reference():
     assert masked > len(ests["rate"])
     for g, loss in ests["loss"].items():
         assert loss == ratio_estimate(stats.loss_counts[:, model.good_index[g]], stats.goods_counts)
-    assert stats.b_hat() == ratio_estimate(_dense_row(stats.occupancy[()], stats.n_batches),
+    assert stats.b_hat() == ratio_estimate(dense_row(stats.occupancy[()], stats.n_batches),
                                            stats.events_counts)
     for order, cells in list(stats.occupancy.items())[:100]:
-        counts = _dense_row(cells, stats.n_batches)
+        counts = dense_row(cells, stats.n_batches)
         assert stats.pi_y(order) == ratio_estimate(counts, stats.events_counts)
 
 
