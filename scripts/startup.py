@@ -13,8 +13,10 @@ must exit as documented (0, or 5 for a verify whose table has some |z| above
 sweep runs two points, rho/2 and the model's rho; simulate and verify run
 20,000 events at seed 1, verify with --z-max inf.
 
-Then each tree imports all of its modules in `python -X importtime`, 11
-times, and the median self time of every fcfs_match module is printed.
+Then all the modules are imported in `python -X importtime` 11 times from
+each tree, interleaved the same way: each repeat imports once from each
+tree, the tree that goes first alternating. The median self time of every
+fcfs_match module is printed per tree.
 
 The children inherit this process's environment, PYTHONDONTWRITEBYTECODE
 included: run the script with and without it to see what compiling the
@@ -77,17 +79,26 @@ def summary(samples: list[float]) -> dict[str, float]:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def import_self_us(src: Path) -> dict[str, float]:
-    """Median -X importtime self time (microseconds) of each fcfs_match module."""
-    found: dict[str, list[int]] = {}
-    for _ in range(IMPORT_REPEATS):
-        proc = subprocess.run([sys.executable, "-X", "importtime", "-c", IMPORT_ALL],
-                              env=child_env(src), capture_output=True, text=True, check=True)
-        for line in proc.stderr.splitlines():
-            fields = line.removeprefix("import time:").split("|")
-            if len(fields) == 3 and fields[2].strip().startswith("fcfs_match"):
-                found.setdefault(fields[2].strip(), []).append(int(fields[0]))
-    return {name: statistics.median(us) for name, us in sorted(found.items())}
+def tree_order(trees: dict[str, Path], repeat: int) -> list[str]:
+    """The trees in the order repeat runs them: the first one alternates."""
+    return list(trees) if repeat % 2 else list(reversed(trees))
+
+
+def import_self_us(trees: dict[str, Path]) -> dict[str, dict[str, float]]:
+    """Per tree, the median -X importtime self time (microseconds) of each
+    fcfs_match module, the trees interleaved repeat by repeat."""
+    found: dict[str, dict[str, list[int]]] = {tree: {} for tree in trees}
+    for repeat in range(IMPORT_REPEATS):
+        for tree in tree_order(trees, repeat):
+            proc = subprocess.run([sys.executable, "-X", "importtime", "-c", IMPORT_ALL],
+                                  env=child_env(trees[tree]), capture_output=True, text=True,
+                                  check=True)
+            for line in proc.stderr.splitlines():
+                fields = line.removeprefix("import time:").split("|")
+                if len(fields) == 3 and fields[2].strip().startswith("fcfs_match"):
+                    found[tree].setdefault(fields[2].strip(), []).append(int(fields[0]))
+    return {tree: {name: statistics.median(us) for name, us in sorted(by_module.items())}
+            for tree, by_module in found.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -105,7 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     rss = {c: {t: [] for t in trees} for c in COMMANDS}
     problems = []
     for repeat in range(-1, args.repeats):  # repeat -1 is the discarded warm-up
-        order = list(trees) if repeat % 2 else list(reversed(trees))
+        order = tree_order(trees, repeat)
         for command in COMMANDS:
             cli_argv = command_argv(command, args.model)
             outputs = {}
@@ -136,8 +147,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{a['median']:>8.4f} ({a['q1']:.4f}-{a['q3']:.4f}) "
               f"{a['median'] / b['median']:>12.3f} {b['peak_rss_mb']:>6.1f} {a['peak_rss_mb']:>6.1f}")
 
-    for tree, src in trees.items():
-        result["import_self_us"][tree] = import_self_us(src)
+    result["import_self_us"] = import_self_us(trees)
     modules = sorted(set().union(*(found.keys() for found in result["import_self_us"].values())))
     print(f"\n{'-X importtime self, median us':<30} {'before':>8} {'after':>8}")
     for name in modules:

@@ -153,7 +153,7 @@ def _simulate_json(stats) -> dict:
     def est(e):
         return {"value": round12(e.value), "stderr": round12(e.stderr) if math.isfinite(e.stderr) else None}
 
-    ests = stats._estimates()
+    ests = stats.estimates()
     # an edge that no match reached has no delay mean, and is left out
     matched = [edge for edge, e in ests["delay_mean"].items() if not math.isnan(e.value)]
     return {
@@ -165,7 +165,7 @@ def _simulate_json(stats) -> dict:
         "total_goods": stats.total_goods,
         "final_unmatched": stats.final_unmatched,
         "events_post_burn_in": stats.events_post_burn_in,
-        "empty_state": est(stats.b_hat()),
+        "empty_state": est(ests["pi_y"][()]),
         "rates": {f"{g},{a}": est(ests["rate"][g, a]) for g, a in matched},
         "loss": {g: est(e) for g, e in ests["loss"].items()},
         "delays": {f"{g},{a}": {"mean": est(ests["delay_mean"][g, a]),

@@ -361,6 +361,15 @@ def validate(model: MatchingModel) -> MatchingModel:
         seen.add(name)
 
     sides = (("agent", model.agent_types), ("good", model.good_types))
+    # the outputs join names with "," and ">", write CSV cells unquoted and
+    # print a good's loss as agent LOST, so each name must read back as itself
+    for side, types in sides:
+        for name, _ in types:
+            if not name or any(c in name for c in ',>"\r\n'):
+                issues.append(ValidationIssue(f"{side} type name {name!r} is empty or holds "
+                                              "one of , > \" \\r \\n"))
+            elif side == "agent" and name == "LOST":
+                issues.append(ValidationIssue("agent type name 'LOST' is how a good's loss prints"))
     for side, types in sides:
         freqs = [f for _, f in types]
         if all(map(_is_number, freqs)) and not math.isclose(

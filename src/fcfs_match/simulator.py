@@ -1,11 +1,12 @@
 """Monte Carlo verification: batch simulator, estimates, analytic comparison.
 
 run() drives the simulation kernel over a seeded uniform stream and returns raw
-per-batch counters. Every estimate carries a batch-means standard error, and
-each family comes from one row-wise call: _batch_means for the ratios (rate,
-delay mean and loss; B with the waiting-list-order occupancies) and
-_batch_variances for the delay variances. compare_with_analytic() lines the
-estimates up against the subset table's results as z-scores.
+per-batch counters. SimStats.estimates() is the one reader of them: every
+estimate carries a batch-means standard error, and each family comes from one
+row-wise call: _batch_means for the ratios (rate, delay mean and loss; B with
+the waiting-list-order occupancies) and _batch_variances for the delay
+variances. compare_with_analytic() lines the estimates up against the subset
+table's results as z-scores.
 
 The uniform stream has one owner, _event_codes, which draws it with numpy and
 decodes it into integer event codes: t < n_agent is an agent of type t, and
@@ -34,7 +35,7 @@ import numpy as np
 
 from .analytic import _check_cap, _orders_above, matching_rates, normalizing_constant
 from .delays import delay_moments
-from .errors import DomainError, UnknownIdentifier
+from .errors import DomainError
 from .model import MatchingModel, _order_indices, _stable_scan
 
 BATCHES = 50  # every run splits its post-burn-in events into this many batches
@@ -95,12 +96,6 @@ def _listed(family: tuple[np.ndarray, np.ndarray]) -> list[Estimate]:
     return list(map(Estimate, *(a.tolist() for a in family)))
 
 
-def _pick(estimates: dict, key) -> Estimate:
-    if key not in estimates:
-        raise UnknownIdentifier(f"no estimate for {key!r}: not a good type or an edge")
-    return estimates[key]
-
-
 @dataclass
 class SimStats:
     """Raw per-batch counters of one simulation run of model, occupancy included."""
@@ -125,46 +120,31 @@ class SimStats:
     total_goods: int
     final_unmatched: int
 
-    # --- estimates ---
-
-    def _estimates(self) -> dict[str, dict]:
-        """Every edge's rate, delay_mean and delay_var and every good's loss,
-        keyed by edge or good: one batch-means call per family."""
-        goods = self.goods_counts
-        m, sums, sqs = self.match_counts.T, self.delay_sums.T, self.delay_sqs.T
-        families = {"rate": _batch_means(m, goods), "delay_mean": _batch_means(sums, m),
-                    "delay_var": _batch_variances(sums, sqs, m)}
-        estimates = {name: dict(zip(self.model.edge_list, _listed(f))) for name, f in families.items()}
-        loss = _batch_means(self.loss_counts.T, goods)
-        return {**estimates, "loss": dict(zip(self.model.good_names, _listed(loss)))}
-
-    def _pi_y_estimates(self, orders) -> list[Estimate]:
-        """pi_y of each of a list of distinct valid orders of agent names, the empty
-        order (B) included; only the asked orders get dense occupancy rows."""
-        agent_index = self.model.agent_index
-        rows = [self.order_rows.get(tuple(map(agent_index.__getitem__, o)), -1) for o in orders]
+    def estimates(self, orders=()) -> dict[str, dict]:
+        """Every estimate of the run, {family: {key: Estimate}}, one batch-means
+        call per family: rate, delay_mean and delay_var keyed by edge in
+        model.edge_list order, loss keyed by good, and pi_y keyed by order of
+        agent names, the empty order (B) first and then each of orders, a
+        repeated order once. An order with an unknown or repeated agent type
+        raises UnknownIdentifier or DuplicateType."""
+        model = self.model
+        keys = list(dict.fromkeys([(), *map(tuple, orders)]))
+        rows = [self.order_rows.get(tuple(_order_indices(model, o)) if o else (), -1) for o in keys]
         # entries of rows not asked for land in one spare row, dropped at the
         # end; row -1 indexes the last slot, which no entry reads
         slot = np.full(len(self.order_rows) + 1, len(rows))
         slot[rows] = np.arange(len(rows))
         counts = np.zeros((len(rows) + 1, self.n_batches), dtype=np.int64)
         counts[slot[self.entry_rows], self.entry_batches] = self.entry_counts
-        return _listed(_batch_means(counts[:-1], self.events_counts))
-
-    def rate(self, good: str, agent: str) -> Estimate:
-        return _pick(self._estimates()["rate"], (good, agent))
-
-    def loss_rate(self, good: str) -> Estimate:
-        return _pick(self._estimates()["loss"], good)
-
-    def b_hat(self) -> Estimate:
-        return self.pi_y(())
-
-    def pi_y(self, order) -> Estimate:
-        names = tuple(order)
-        if names:  # the empty order is B
-            _order_indices(self.model, names)
-        return self._pi_y_estimates([names])[0]
+        goods = self.goods_counts
+        m, sums, sqs = self.match_counts.T, self.delay_sums.T, self.delay_sqs.T
+        edges = model.edge_list
+        families = {"rate": (edges, _batch_means(m, goods)),
+                    "delay_mean": (edges, _batch_means(sums, m)),
+                    "delay_var": (edges, _batch_variances(sums, sqs, m)),
+                    "loss": (model.good_names, _batch_means(self.loss_counts.T, goods)),
+                    "pi_y": (keys, _batch_means(counts[:-1], self.events_counts))}
+        return {name: dict(zip(k, _listed(f))) for name, (k, f) in families.items()}
 
     @functools.cached_property
     def occupancy(self) -> dict[tuple[str, ...], dict[int, int]]:
@@ -181,14 +161,6 @@ class SimStats:
     def goods_counts(self) -> np.ndarray:
         """(batches,) int64 goods per batch: every good is matched or lost."""
         return self.match_counts.sum(axis=1) + self.loss_counts.sum(axis=1)
-
-    @property
-    def total_matches(self) -> int:
-        return int(self.match_counts.sum())
-
-    @property
-    def total_losses(self) -> int:
-        return int(self.loss_counts.sum())
 
     @property
     def events_post_burn_in(self) -> int:
@@ -246,8 +218,7 @@ def _sim_batch(codes, n, n_agent, edge_of, queues, order, tally):
 
     edge_of[j][i] is the index of the edge (good type j, agent type i), or
     None where j does not serve i. queues and order are mutated in place and
-    carry over to the next batch; counters go to tally. Returns the number of
-    agents that arrived.
+    carry over to the next batch; counters go to tally.
     """
     mc = tally.match_counts
     ds = tally.delay_sums
@@ -256,13 +227,11 @@ def _sim_batch(codes, n, n_agent, edge_of, queues, order, tally):
     occ = tally.occupancy
     key = tuple(order)
     run_start = n
-    agents = 0
     for c in codes:
         changed = False
         if c < n_agent:
             q = queues[c]
             q.append(n)
-            agents += 1
             if len(q) == 1:
                 order.append(c)
                 changed = True
@@ -301,7 +270,6 @@ def _sim_batch(codes, n, n_agent, edge_of, queues, order, tally):
         n += 1
     if n > run_start:
         occ[key] = occ.get(key, 0) + n - run_start
-    return agents
 
 
 def run(
@@ -352,29 +320,31 @@ def run(
     starts = [burn_in + -(-b * span // n_batches) for b in range(n_batches + 1)]
 
     codes = itertools.chain.from_iterable(_event_codes(model, n_events, seed))
-    total_agents = 0
     lo = 0
     for hi in starts:
         tally = _BatchTally(len(model.edge_list), n_good)
-        total_agents += _sim_batch(
-            itertools.islice(codes, hi - lo), lo, n_agent, edge_of, queues, order, tally
-        )
+        _sim_batch(itertools.islice(codes, hi - lo), lo, n_agent, edge_of, queues, order, tally)
         lo = hi
         if hi == burn_in:
-            continue  # the burn-in
+            burn_in_matches = sum(tally.match_counts)  # the burn-in counts in total_agents only
+            continue
         tallies.append(tally)
         entry_rows += [order_rows.setdefault(key, len(order_rows)) for key in tally.occupancy]
         entry_counts += tally.occupancy.values()
         batch_entries.append(len(tally.occupancy))
         tally.occupancy.clear()
 
+    match_counts = np.array([t.match_counts for t in tallies], dtype=np.int64)
+    final_unmatched = sum(len(q) for q in queues)
+    # every agent that arrived was matched or is still waiting
+    total_agents = burn_in_matches + int(match_counts.sum()) + final_unmatched
     return SimStats(
         model=model,
         seed=seed,
         n_events=n_events,
         burn_in=burn_in,
         n_batches=n_batches,
-        match_counts=np.array([t.match_counts for t in tallies], dtype=np.int64),
+        match_counts=match_counts,
         delay_sums=np.array([t.delay_sums for t in tallies], dtype=np.int64),
         delay_sqs=np.array([t.delay_sqs for t in tallies], dtype=np.float64),
         loss_counts=np.array([t.loss_counts for t in tallies], dtype=np.int64),
@@ -385,7 +355,7 @@ def run(
         order_rows=order_rows,
         total_agents=total_agents,
         total_goods=n_events - total_agents,
-        final_unmatched=sum(len(q) for q in queues),
+        final_unmatched=final_unmatched,
     )
 
 
@@ -427,13 +397,13 @@ def compare_with_analytic(model: MatchingModel, stats: SimStats) -> list[VerifyR
         raise DomainError("stats are from a run of a different model")
     report = matching_rates(model)
     delays = delay_moments(model)
-    ests = stats._estimates()
     above = sorted(_orders_above(model, PI_Y_THRESHOLD).items())
-    b, *pi_y = stats._pi_y_estimates([()] + [order for order, _ in above])
-    checks = [("B", report.b, b)]
+    ests = stats.estimates(order for order, _ in above)
+    pi_y = ests["pi_y"]
+    checks = [("B", report.b, pi_y[()])]
     checks += [(f"rate[{g},{a}]", r, ests["rate"][g, a]) for (g, a), r in report.rates.items()]
     checks += [(f"loss[{g}]", r, ests["loss"][g]) for g, r in report.loss.items()]
     for name, values in (("delay_mean", delays.pair_mean), ("delay_var", delays.pair_var)):
         checks += [(f"{name}[{g},{a}]", v, ests[name][g, a]) for (g, a), v in values.items()]
-    checks += [(f"pi_y[{'>'.join(order)}]", prob, e) for (order, prob), e in zip(above, pi_y)]
+    checks += [(f"pi_y[{'>'.join(order)}]", prob, pi_y[order]) for order, prob in above]
     return [VerifyRow(q, x, e.value, e.stderr, _z(x, e)) for q, x, e in checks]

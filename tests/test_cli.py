@@ -145,6 +145,44 @@ def test_non_numbers_are_invalid(tmp_path, capsys, case):
     assert "not a number" in captured.err
 
 
+def _names_data(agents, goods, edges):
+    return {"agents": [{"name": n, "alpha": a} for n, a in agents],
+            "goods": [{"name": n, "beta": b} for n, b in goods],
+            "edges": [list(e) for e in edges], "lambda_bar": 0.5, "mu_bar": 1.0}
+
+
+# each model's names would print as one another's in some output: two edges
+# as one "s,b,c" pair, the empty order and ("",) as one occupancy key, and an
+# agent's match and the good's loss as one eta key
+NAME_CLASHES = {
+    "comma": (_names_data([("b,c", 0.5), ("c", 0.5)], [("s", 0.5), ("s,b", 0.5)],
+                          [("s", "b,c"), ("s,b", "c")]),
+              ["'b,c'", "'s,b'"], [["delays"], ["rates", "--format", "csv"]]),
+    "empty": (_names_data([("", 0.5), ("c", 0.5)], [("s", 1.0)], [("s", ""), ("s", "c")]),
+              ["''"], [["simulate", "--events", "20000", "--seed", "3"]]),
+    "lost": (_names_data([("LOST", 1.0)], [("s", 1.0)], [("s", "LOST")]),
+             ["'LOST'"], [["rates"]]),
+}
+
+
+@pytest.mark.parametrize("case", list(NAME_CLASHES))
+def test_names_that_print_alike_are_invalid(tmp_path, capsys, case):
+    data, named, commands = NAME_CLASHES[case]
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["validate", "--model", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["valid"] is False
+    assert len(payload["errors"]) == len(named)  # one issue per name
+    for error, name in zip(payload["errors"], named):
+        assert name in error
+    for argv in commands:
+        assert main([argv[0], "--model", str(path), *argv[1:]]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid model: ")
+
+
 def test_output_options_only_where_they_change_output(model_file, capsys):
     for command in ("validate", "sweep"):
         for extra in (["--format", "csv"], ["--table"]):

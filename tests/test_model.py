@@ -145,6 +145,29 @@ def test_invalid_model_cannot_be_built(build, kind):
     assert any(isinstance(i, kind) for i in exc.value.issues)
 
 
+@pytest.mark.parametrize("bad", ["", "a,b", "a>b", 'a"b', "a\rb", "a\nb"],
+                         ids=["empty", "comma", "gt", "quote", "cr", "lf"])
+def test_type_names_must_print_apart(bad):
+    # the outputs join names with "," and ">" and write CSV cells unquoted:
+    # one plain ValidationIssue per such name, on either side
+    for agent, good in ((bad, "s1"), ("c1", bad)):
+        with pytest.raises(ModelValidationError) as exc:
+            MatchingModel(((agent, 1.0),), ((good, 1.0),), {(good, agent)}, 0.5, 1.0)
+        [issue] = exc.value.issues
+        assert type(issue) is ValidationIssue
+        assert repr(bad) in str(issue)
+
+
+def test_agent_type_named_lost_is_invalid():
+    # CSV and JSON outputs print a good's loss as the agent LOST
+    with pytest.raises(ModelValidationError) as exc:
+        MatchingModel((("LOST", 1.0),), (("s1", 1.0),), {("s1", "LOST")}, 0.5, 1.0)
+    [issue] = exc.value.issues
+    assert type(issue) is ValidationIssue and "'LOST'" in str(issue)
+    # a good of that name prints in the good column, apart from every loss
+    assert MatchingModel((("c1", 1.0),), (("LOST", 1.0),), {("LOST", "c1")}, 0.5, 1.0)
+
+
 def test_numpy_numbers_are_numbers():
     model = _model_with(agent_types=(("c1", np.float32(0.5)), ("c2", np.float64(0.5))),
                         lambda_bar=np.float64(0.5), mu_bar=np.int64(1))

@@ -113,8 +113,9 @@ def test_run_is_deterministic(example3x3, warm_kernel):
 
 def test_run_conservation(example3x3, warm_kernel):
     stats = run(example3x3, 80_000, seed=9, burn_in=0)
-    assert stats.total_matches + stats.total_losses == stats.total_goods
-    assert stats.total_agents - stats.total_matches == stats.final_unmatched
+    matches, losses = int(stats.match_counts.sum()), int(stats.loss_counts.sum())
+    assert matches + losses == stats.total_goods
+    assert stats.total_agents - matches == stats.final_unmatched
     assert stats.events_post_burn_in == 80_000
     # every recorded delay is at least one position
     assert np.all(stats.delay_sums >= stats.match_counts)
@@ -174,21 +175,23 @@ def test_kernel_agrees_with_reference_implementation(example3x3, warm_kernel):
 def test_estimates_near_analytic(example3x3, warm_kernel):
     stats = run(example3x3, 400_000, seed=2, burn_in=20_000)
     report = matching_rates(example3x3)
+    ests = stats.estimates()
     for (g, a), expected in report.rates.items():
-        est = stats.rate(g, a)
+        est = ests["rate"][g, a]
         assert abs(est.value - expected) < 4 * est.stderr
-    b_est = stats.b_hat()
+    b_est = ests["pi_y"][()]
     assert abs(b_est.value - report.b) < 4 * b_est.stderr
 
 
 def test_pi_y_occupancy_tracks_stationary_law(example3x3, warm_kernel):
     stats = run(example3x3, 400_000, seed=6, burn_in=20_000)
     table = analytic_pi_y(example3x3)
+    pi_y = stats.estimates(table)["pi_y"]
     checked = 0
     for order, prob in table.items():
         if prob < 1e-3:
             continue
-        est = stats.pi_y(order)
+        est = pi_y[order]
         assert abs(est.value - prob) < 4 * est.stderr
         checked += 1
     assert checked >= 10
@@ -362,12 +365,25 @@ def test_occupancy_entries_are_the_nonzero_cells(example3x3, warm_kernel, n_batc
 
 def test_pi_y_rejects_unknown_and_repeated_types(warm_kernel):
     with pytest.raises(UnknownIdentifier):
-        warm_kernel.pi_y(("zz",))
+        warm_kernel.estimates([("zz",)])
     with pytest.raises(DuplicateType):
-        warm_kernel.pi_y(("c1", "c1"))
+        warm_kernel.estimates([("c1", "c1")])
     with pytest.raises(DuplicateType):
-        warm_kernel.pi_y(("c1", "c2", "c1"))
-    assert warm_kernel.pi_y(("c1", "c2")) == warm_kernel.pi_y(["c1", "c2"])
+        warm_kernel.estimates([("c1", "c2", "c1")])
+    order = ("c1", "c2")
+    assert (warm_kernel.estimates([order])["pi_y"][order]
+            == warm_kernel.estimates([list(order)])["pi_y"][order])
+
+
+def test_repeated_orders_collapse_to_one_key(warm_kernel):
+    # an order asked twice, once as a list, and the empty order asked again
+    # give one key each, and every family equals the one-order call bit for bit
+    order = ("c1", "c2")
+    once = warm_kernel.estimates([order])
+    repeated = warm_kernel.estimates([order, list(order), ()])
+    assert list(repeated["pi_y"]) == [(), order]
+    assert repeated == once
+    assert repeated["pi_y"][order].value > 0.0
 
 
 @pytest.mark.parametrize("n_batches", [2, 50, 63])
@@ -384,7 +400,7 @@ def test_pi_y_rows_equal_single_order_estimates(example3x3, warm_kernel, n_batch
         assert len(pi_rows) > 10
         for row in pi_rows:
             order = tuple(row.quantity[len("pi_y["):-1].split(">"))
-            est = stats.pi_y(order)
+            est = stats.estimates([order])["pi_y"][order]
             assert (row.empirical, row.stderr) == (est.value, est.stderr)
             assert row.z == _z(row.analytic, est)
             if order not in stats.occupancy:
@@ -404,10 +420,11 @@ def test_occupancy_tallied_for_many_types():
     # occupancy is tallied at every agent-type count, 14 types included
     model = _fourteen_agent_types()
     stats = run(model, 5_000, seed=1, burn_in=100)
-    b = stats.b_hat()
+    ests = stats.estimates()
+    b = ests["pi_y"][()]
     assert 0.0 < b.value <= 1.0 and math.isfinite(b.stderr)
     assert stats.occupancy
-    est = stats.rate("s", "c0")
+    est = ests["rate"]["s", "c0"]
     assert est.value > 0
 
 
@@ -463,15 +480,15 @@ def test_every_edge_family_follows_the_model_edge_list(example3x3, which, warm_k
     limit = light_traffic_rates(model)
     families = [matching_rates(model).rates, delay_moments(model).pair_mean, limit.rates,
                 limit.theta]
-    ests = run(model, 5_000, seed=2, burn_in=500)._estimates()
+    ests = run(model, 5_000, seed=2, burn_in=500).estimates()
     families += [ests[name] for name in ("rate", "delay_mean", "delay_var")]
     for family in families:
         assert list(family) == edges
 
 
-def test_loss_rate_unknown_good_raises(warm_kernel):
-    with pytest.raises(UnknownIdentifier):
-        warm_kernel.loss_rate("zz")
+def test_loss_estimates_are_the_model_goods(warm_kernel):
+    # one loss estimate per good type and no other key, in declared order
+    assert list(warm_kernel.estimates()["loss"]) == list(warm_kernel.model.good_names)
 
 
 def _eight_agent_types_model():
@@ -490,7 +507,8 @@ def test_row_estimates_match_per_row_reference():
     # must equal it
     model = _eight_agent_types_model()
     stats = run(model, 20_000, seed=1)
-    ests = stats._estimates()
+    orders = list(stats.occupancy)[:100]
+    ests = stats.estimates(orders)
     masked = 0
     for e, (g, a) in enumerate(model.edge_list):
         m, sums, sqs = (c[:, e] for c in (stats.match_counts, stats.delay_sums, stats.delay_sqs))
@@ -508,11 +526,11 @@ def test_row_estimates_match_per_row_reference():
     assert masked > len(ests["rate"])
     for g, loss in ests["loss"].items():
         assert loss == ratio_estimate(stats.loss_counts[:, model.good_index[g]], stats.goods_counts)
-    assert stats.b_hat() == ratio_estimate(dense_row(stats.occupancy[()], stats.n_batches),
-                                           stats.events_counts)
-    for order, cells in list(stats.occupancy.items())[:100]:
-        counts = dense_row(cells, stats.n_batches)
-        assert stats.pi_y(order) == ratio_estimate(counts, stats.events_counts)
+    assert ests["pi_y"][()] == ratio_estimate(dense_row(stats.occupancy[()], stats.n_batches),
+                                              stats.events_counts)
+    for order in orders:
+        counts = dense_row(stats.occupancy[order], stats.n_batches)
+        assert ests["pi_y"][order] == ratio_estimate(counts, stats.events_counts)
 
 
 @pytest.mark.parametrize("matches, mean, var", [(0, math.nan, math.nan), (2, 3.0, 1.0)])
