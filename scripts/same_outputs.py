@@ -3,10 +3,15 @@
     python3 scripts/same_outputs.py --before ../old/src --after src
 
 The models are the benchmark's: paper-3x3, verify-wide and the 43
-analytic-wide models analytic-wide/s/0, s = 1..43, from bench/workloads.py.
-They are written to files once, and both trees read those files: the
-generator's lambda_bar can move by an ulp with the string hash seed, so two
-interpreters generating the same model may not agree.
+analytic-wide models analytic-wide/s/0, s = 1..43, from bench/workloads.py;
+and two unstable ones, so the gate holds the refusal paths: paper-3x3
+overloaded (lambda_bar = 1.3) and paper-3x3 in the margin band (lambda_bar =
+1 - 1e-13, a drain margin of 5e-14, below model.STABILITY_MARGIN). Every
+call on these two but validate exits 3, except the overloaded model's sweep
+up to rho = 1.3, which exits 2 (sweep needs rho-max < 1). They are written to files once, and
+both trees read those files: the generator's lambda_bar can move by an ulp
+with the string hash seed, so two interpreters generating the same model may
+not agree.
 
 Per model the calls are: validate; rates, delays and waits, each as json, as
 csv and as --table; sweep over [rho/2, rho] in 3 steps; simulate --events
@@ -66,7 +71,9 @@ def bench_models() -> dict[str, dict]:
     sys.path.insert(0, str(ROOT / "bench"))
     from workloads import PAPER_3X3, WORKLOADS
 
-    models = {"paper-3x3": PAPER_3X3, "verify-wide": WORKLOADS["verify-wide"].model(0, 0)}
+    models = {"paper-3x3": PAPER_3X3, "paper-3x3-overloaded": {**PAPER_3X3, "lambda_bar": 1.3},
+              "paper-3x3-margin": {**PAPER_3X3, "lambda_bar": 1 - 1e-13},
+              "verify-wide": WORKLOADS["verify-wide"].model(0, 0)}
     for s in ANALYTIC_WIDE_MODELS:
         models[f"analytic-wide/{s}/0"] = WORKLOADS["analytic-wide"].model(s, 0)
     return models

@@ -24,9 +24,9 @@ _EXPORTS = {  # submodule -> the public names it defines
                "ZeroRate"),
     "limits": ("DedicatedPair", "LightTrafficLimit", "SweepSeries", "dedicated_baseline",
                "light_traffic_rates", "sweep"),
-    "model": ("MatchingModel", "MaxStableRho", "StabilityReport", "TypeSubset", "check_crp",
-              "check_stability", "compatible_agents", "compatible_goods", "load_model",
-              "max_stable_rho", "save_model", "unique_users", "validate"),
+    "model": ("MatchingModel", "MaxStableRho", "StabilityReport", "check_crp", "check_stability",
+              "compatible_agents", "compatible_goods", "load_model", "max_stable_rho",
+              "save_model", "unique_users", "validate"),
     "simulator": ("Estimate", "SimStats", "VerifyRow", "analytic_pi_y", "compare_with_analytic",
                   "run"),
 }

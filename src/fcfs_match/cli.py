@@ -33,7 +33,7 @@ from .errors import (
     UnstableGridPoint,
     UnstableModel,
 )
-from .model import check_crp, check_stability, load_model, max_stable_rho
+from .model import _names, check_crp, check_stability, load_model, max_stable_rho
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -191,12 +191,12 @@ def cmd_validate(args) -> int:
         "good_types": len(model.good_types),
         "rho": round12(model.rho),
         "stable": stability.stable,
-        "witness": list(stability.witness.names) if stability.witness else None,
+        "witness": list(stability.witness) if stability.witness else None,
         "crp": check_crp(model),
         "max_stable_rho": round12(rho.value),
         "max_stable_rho_uncapped": None if rho.uncapped == float("inf") else round12(rho.uncapped),
         "min_drain_margin": round12(scan.theta[scan.worst] / model.total_rate),
-        "min_drain_set": list(model.subset_from_mask("agent", scan.worst).names),
+        "min_drain_set": list(_names(model.agent_names, scan.worst)),
     }
     _emit_json(args, payload)
     return EXIT_OK

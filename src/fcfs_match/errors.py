@@ -44,7 +44,10 @@ class ModelValidationError(FcfsMatchError):
 
 
 class UnstableModel(FcfsMatchError):
-    """The stability condition fails (or is numerically indistinguishable from failing)."""
+    """The stability condition fails (or is numerically indistinguishable from failing).
+
+    witness is check_stability's witness: the agent set of smallest drain
+    rate, a tuple of agent names in declared order."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from typing import NamedTuple
 
 from .analytic import matching_rates
 from .delays import delay_moments
 from .errors import DomainError, DuplicateType, UnknownIdentifier, UnstableGridPoint
-from .model import MatchingModel, check_stability, max_stable_rho
+from .model import MatchingModel, _mask_sum, check_stability, max_stable_rho
 
 
 class LightTrafficLimit(NamedTuple):
@@ -26,7 +27,7 @@ class LightTrafficLimit(NamedTuple):
 
 
 def light_traffic_rates(model: MatchingModel) -> LightTrafficLimit:
-    mu_nbhd = [model.subset_from_mask("good", mask).rate for mask in model.goods_of_agent]
+    mu_nbhd = [_mask_sum(model.good_rates, mask) for mask in model.goods_of_agent]
     theta = {(g, a): model.good_rates[model.good_index[g]] / mu_nbhd[model.agent_index[a]]
              for g, a in model.edge_list}
     rates = {(g, a): model.alpha[model.agent_index[a]] * frac for (g, a), frac in theta.items()}
@@ -99,14 +100,14 @@ def dedicated_baseline(model: MatchingModel, pairing) -> dict[tuple[str, str], D
     """Expected waits when each good type in the pairing serves only its agent.
 
     pairing maps good identifiers to agent identifiers, one-to-one, along
-    compatibility edges. Pairs with lambda_agent >= mu_good are reported
-    unstable rather than raising.
+    compatibility edges, given as a mapping or as (good, agent) pairs. Pairs
+    with lambda_agent >= mu_good are reported unstable rather than raising.
     """
-    pairs = dict(pairing)
-    if len(set(pairs.values())) != len(pairs):
+    pairs = list(pairing.items() if isinstance(pairing, Mapping) else pairing)
+    if not len({g for g, _ in pairs}) == len({a for _, a in pairs}) == len(pairs):
         raise DuplicateType("pairing must map distinct goods to distinct agents")
     out: dict[tuple[str, str], DedicatedPair] = {}
-    for g, a in pairs.items():
+    for g, a in pairs:
         if g not in model.good_index or a not in model.agent_index:
             raise UnknownIdentifier(f"unknown pair ({g!r}, {a!r})")
         if not model.is_edge(g, a):

@@ -49,60 +49,12 @@ TABLE_ARRAYS = 5
 BYTES_PER_FLOAT = 32
 
 
-class _Record:
-    """An immutable record over the names in _fields: equality, hash and repr
-    go by those fields. Each instance keeps its fields in a __dict__, which
-    only __init__ writes, so pickle, copy and functools.cached_property work."""
-
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
-
-
-class TypeSubset(_Record):
-    """A subset of agent types or of good types, with cached frequency/rate sums.
-
-    side is "agent" or "good"; names are in declared model order; freq is
-    alpha_C or beta_S and rate is lambda_C or mu_S.
-    """
-
-    _fields = ("side", "names", "mask", "freq", "rate")
-
-    def __init__(self, side: str, names: tuple[str, ...], mask: int, freq: float, rate: float):
-        self.__dict__.update(side=side, names=names, mask=mask, freq=freq, rate=rate)
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.names
-
-    def __iter__(self):
-        return iter(self.names)
-
-
 class StabilityReport(NamedTuple):
+    """witness is None when the model is stable, and otherwise the agent set
+    of smallest drain rate theta(C), a tuple of agent names in declared order."""
+
     stable: bool
-    witness: TypeSubset | None  # worst violating agent subset when unstable
+    witness: tuple[str, ...] | None
 
 
 class MaxStableRho(NamedTuple):
@@ -124,12 +76,15 @@ class SubsetScan(NamedTuple):
     rho: MaxStableRho
 
 
-class MatchingModel(_Record):
+class MatchingModel:
     """Bipartite compatibility graph plus type frequencies and aggregate rates.
 
     agent_types / good_types are ordered (identifier, frequency) pairs; their
     order defines the canonical type order used by every enumeration in the
     package. edges holds (good identifier, agent identifier) pairs.
+
+    A model is immutable. Equality, hash and repr go by the _fields, kept in a
+    __dict__ that only __init__ writes, so pickle, copy and cached_property work.
     """
 
     _fields = ("agent_types", "good_types", "edges", "lambda_bar", "mu_bar")
@@ -148,6 +103,27 @@ class MatchingModel(_Record):
             mu_bar=mu_bar,
         )
         validate(self)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name!r}")
 
     # --- cached derived views (every name in edges is a declared type) ---
 
@@ -243,43 +219,6 @@ class MatchingModel(_Record):
     def with_lambda_bar(self, lambda_bar: float) -> "MatchingModel":
         return type(self)(self.agent_types, self.good_types, self.edges, lambda_bar, self.mu_bar)
 
-    # --- subset constructors ---
-
-    def agent_subset(self, names: Iterable[str]) -> TypeSubset:
-        return self._subset("agent", names)
-
-    def good_subset(self, names: Iterable[str]) -> TypeSubset:
-        return self._subset("good", names)
-
-    def _subset(self, side: str, names: Iterable[str]) -> TypeSubset:
-        if isinstance(names, TypeSubset):
-            if names.side != side:
-                raise UnknownIdentifier(f"expected a {side}-side subset, got {names.side}-side")
-            return names
-        index = self.agent_index if side == "agent" else self.good_index
-        mask = 0
-        for n in names:
-            i = index.get(n)
-            if i is None:
-                raise UnknownIdentifier(f"unknown {side} type {n!r}")
-            mask |= 1 << i
-        return self.subset_from_mask(side, mask)
-
-    def subset_from_mask(self, side: str, mask: int) -> TypeSubset:
-        if side == "agent":
-            all_names, freqs, rates = self.agent_names, self.alpha, self.agent_rates
-        else:
-            all_names, freqs, rates = self.good_names, self.beta, self.good_rates
-        names = []
-        freq = 0.0
-        rate = 0.0
-        for i, n in enumerate(all_names):
-            if mask >> i & 1:
-                names.append(n)
-                freq += freqs[i]
-                rate += rates[i]
-        return TypeSubset(side, tuple(names), mask, freq, rate)
-
     # --- serialization ---
 
     def to_json_dict(self) -> dict:
@@ -293,10 +232,25 @@ class MatchingModel(_Record):
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "MatchingModel":
+        """Build a model from its JSON form. Every name must be a JSON string
+        and edges a list of two-name lists: the constructor would turn any
+        other value into a string, and unpack a two-letter name as an edge."""
+        def name(x):
+            if not isinstance(x, str):
+                raise TypeError(f"type name {_shown(x)} is not a string")
+            return x
+
+        def edge(e):
+            if not (isinstance(e, list) and len(e) == 2):
+                raise TypeError(f"edge {_shown(e)} is not a list of two names")
+            return name(e[0]), name(e[1])
+
         try:
-            agents = tuple((d["name"], d["alpha"]) for d in data["agents"])
-            goods = tuple((d["name"], d["beta"]) for d in data["goods"])
-            edges = frozenset((g, a) for g, a in data["edges"])
+            agents = tuple((name(d["name"]), d["alpha"]) for d in data["agents"])
+            goods = tuple((name(d["name"]), d["beta"]) for d in data["goods"])
+            if not isinstance(data["edges"], list):
+                raise TypeError(f"edges {_shown(data['edges'])} is not a list")
+            edges = frozenset(map(edge, data["edges"]))
             return cls(agents, goods, edges, data["lambda_bar"], data["mu_bar"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ModelValidationError([ValidationIssue(f"malformed model data: {exc}")]) from exc
@@ -410,33 +364,50 @@ def validate(model: MatchingModel) -> MatchingModel:
     return model
 
 
-def compatible_goods(model: MatchingModel, agents: Iterable[str] | TypeSubset) -> TypeSubset:
-    """Union of the good-type neighborhoods of the given agent types."""
-    sub = model.agent_subset(agents)
+def _mask(model: MatchingModel, side: str, names: Iterable[str]) -> int:
+    """The bitmask of the given types of one side, "agent" or "good"."""
+    index = model.agent_index if side == "agent" else model.good_index
     mask = 0
-    for i in range(model.n_agent_types):
-        if sub.mask >> i & 1:
-            mask |= model.goods_of_agent[i]
-    return model.subset_from_mask("good", mask)
+    for n in names:
+        i = index.get(n)
+        if i is None:
+            raise UnknownIdentifier(f"unknown {side} type {n!r}")
+        mask |= 1 << i
+    return mask
 
 
-def compatible_agents(model: MatchingModel, goods: Iterable[str] | TypeSubset) -> TypeSubset:
-    """Union of the agent-type neighborhoods of the given good types."""
-    sub = model.good_subset(goods)
-    mask = 0
-    for j in range(model.n_good_types):
-        if sub.mask >> j & 1:
-            mask |= model.agents_of_good[j]
-    return model.subset_from_mask("agent", mask)
+def _names(names: tuple[str, ...], mask: int) -> tuple[str, ...]:
+    """The names whose index is in mask, in declared order."""
+    return tuple(n for i, n in enumerate(names) if mask >> i & 1)
 
 
-def unique_users(model: MatchingModel, goods: Iterable[str] | TypeSubset) -> TypeSubset:
+def _mask_sum(values: tuple[float, ...], mask: int) -> float:
+    """The sum of the values whose index is in mask, added in increasing index
+    from 0.0. Not sum(): from CPython 3.12 on it compensates float sums, and
+    every subset sum must be the same float as the scan's."""
+    total = 0.0
+    for i, v in enumerate(values):
+        if mask >> i & 1:
+            total += v
+    return total
+
+
+def compatible_goods(model: MatchingModel, agents: Iterable[str]) -> tuple[str, ...]:
+    """S(C): the good types compatible with some of the given agent types."""
+    mask = _mask(model, "agent", agents)
+    return tuple(g for g, a in zip(model.good_names, model.agents_of_good) if a & mask)
+
+
+def compatible_agents(model: MatchingModel, goods: Iterable[str]) -> tuple[str, ...]:
+    """The agent types compatible with some of the given good types."""
+    mask = _mask(model, "good", goods)
+    return tuple(a for a, g in zip(model.agent_names, model.goods_of_agent) if g & mask)
+
+
+def unique_users(model: MatchingModel, goods: Iterable[str]) -> tuple[str, ...]:
     """Agent types whose entire neighborhood lies inside the given good set."""
-    sub = model.good_subset(goods)
-    complement = ((1 << model.n_good_types) - 1) & ~sub.mask
-    outside = compatible_agents(model, model.subset_from_mask("good", complement))
-    mask = ((1 << model.n_agent_types) - 1) & ~outside.mask
-    return model.subset_from_mask("agent", mask)
+    mask = _mask(model, "good", goods)
+    return tuple(a for a, g in zip(model.agent_names, model.goods_of_agent) if g & ~mask == 0)
 
 
 def _first_at(values: list[float], low: float) -> int:
@@ -455,7 +426,7 @@ def _first_at(values: list[float], low: float) -> int:
 def _scan_subsets(model: MatchingModel) -> SubsetScan:
     """Build the scan. The sums over each mask extend those of the mask
     without its highest type, so every sum adds its terms in increasing type
-    order, as subset_from_mask does, and the floats are the same to the bit.
+    order, as _mask_sum does, and the floats are the same to the bit.
     Raises TooManyTypes, before any 2^I list is allocated, when the lists over
     the 2^I agent sets would take more than half the physical memory."""
     n = model.n_agent_types
@@ -474,8 +445,7 @@ def _scan_subsets(model: MatchingModel) -> SubsetScan:
     full = len(goods) - 1
     good_freq, good_rate = {}, {}  # by good mask; few distinct neighborhoods
     for g in set(goods):
-        sub = model.subset_from_mask("good", g)
-        good_freq[g], good_rate[g] = sub.freq, sub.rate
+        good_freq[g], good_rate[g] = _mask_sum(model.beta, g), _mask_sum(model.good_rates, g)
     freq = [0.0]
     for a in model.alpha:
         freq += [f + a for f in freq]
@@ -483,7 +453,7 @@ def _scan_subsets(model: MatchingModel) -> SubsetScan:
     del freq
     uncapped = min(itertools.islice(ratio, 1, full), default=math.inf)
     value = min(uncapped, ratio[full])
-    witness = model.subset_from_mask("agent", _first_at(ratio, value))
+    witness = _names(model.agent_names, _first_at(ratio, value))
     del ratio
 
     rate = [0.0]
@@ -492,7 +462,7 @@ def _scan_subsets(model: MatchingModel) -> SubsetScan:
     theta = [good_rate[g] - r for g, r in zip(goods, rate)]
     del goods, rate
     worst = _first_at(theta, min(itertools.islice(theta, 1, None)))
-    return SubsetScan(theta, worst, MaxStableRho(value, uncapped, witness.names))
+    return SubsetScan(theta, worst, MaxStableRho(value, uncapped, witness))
 
 
 def check_stability(model: MatchingModel) -> StabilityReport:
@@ -507,22 +477,22 @@ def check_stability(model: MatchingModel) -> StabilityReport:
     scan = model.subset_scan
     if scan.theta[scan.worst] / model.total_rate >= STABILITY_MARGIN:
         return StabilityReport(stable=True, witness=None)
-    return StabilityReport(stable=False, witness=model.subset_from_mask("agent", scan.worst))
+    return StabilityReport(stable=False, witness=_names(model.agent_names, scan.worst))
 
 
 def _stable_scan(model: MatchingModel) -> SubsetScan:
     """The model's subset scan, for a computation that needs a stable model.
     Raises UnstableModel with check_stability's witness otherwise."""
     report = check_stability(model)
+    scan = model.subset_scan
     if report.stable:
-        return model.subset_scan
-    witness = report.witness
-    if model.subset_scan.theta[witness.mask] <= 0.0:
-        message = (f"model is unstable: agent subset {witness.names} has arrival rate "
-                   f"{witness.rate!r} >= compatible good rate")
+        return scan
+    if scan.theta[scan.worst] <= 0.0:
+        message = (f"model is unstable: agent subset {report.witness} has arrival rate "
+                   f"{_mask_sum(model.agent_rates, scan.worst)!r} >= compatible good rate")
     else:
-        message = f"agent subset {witness.names} has drain margin below {STABILITY_MARGIN:g}"
-    raise UnstableModel(message, witness=witness)
+        message = f"agent subset {report.witness} has drain margin below {STABILITY_MARGIN:g}"
+    raise UnstableModel(message, witness=report.witness)
 
 
 def _order_indices(model: MatchingModel, order) -> list[int]:

@@ -167,21 +167,6 @@ class SimStats:
         return int(self.events_counts.sum())
 
 
-class _BatchTally:
-    """Counters of one batch: one per edge, in model.edge_list order, for the
-    matches, delays and squared delays, and one per good type for the losses."""
-
-    __slots__ = ("match_counts", "delay_sums", "delay_sqs", "loss_counts", "occupancy")
-
-    def __init__(self, n_edge: int, n_good: int):
-        self.match_counts = [0] * n_edge
-        self.delay_sums = [0] * n_edge
-        self.delay_sqs = [0.0] * n_edge
-        self.loss_counts = [0] * n_good
-        # order (tuple of type indices) -> events that ended with that order
-        self.occupancy: dict[tuple[int, ...], int] = {}
-
-
 def _event_codes(model: MatchingModel, n_events: int, seed: int):
     """Yield the event codes of a run, at most SLICE ints per list.
 
@@ -213,18 +198,21 @@ def _event_codes(model: MatchingModel, n_events: int, seed: int):
         kind_rng.bit_generator.advance(m)  # past this chunk's type row
 
 
-def _sim_batch(codes, n, n_agent, edge_of, queues, order, tally):
-    """Process the events n, n+1, ... given by the int iterable codes.
+def _sim_batch(codes, n, n_agent, edge_of, n_edge, queues, order):
+    """Process the events n, n+1, ... given by the int iterable codes and
+    return the batch's counters: per edge, in model.edge_list order, the
+    matches, delay sums and squared-delay sums; per good type the losses; and
+    the occupancy, {order (tuple of type indices): events that ended with it}.
 
     edge_of[j][i] is the index of the edge (good type j, agent type i), or
     None where j does not serve i. queues and order are mutated in place and
-    carry over to the next batch; counters go to tally.
+    carry over to the next batch.
     """
-    mc = tally.match_counts
-    ds = tally.delay_sums
-    dq = tally.delay_sqs
-    lc = tally.loss_counts
-    occ = tally.occupancy
+    mc = [0] * n_edge
+    ds = [0] * n_edge
+    dq = [0.0] * n_edge
+    lc = [0] * len(edge_of)
+    occ: dict[tuple[int, ...], int] = {}
     key = tuple(order)
     run_start = n
     for c in codes:
@@ -270,6 +258,7 @@ def _sim_batch(codes, n, n_agent, edge_of, queues, order, tally):
         n += 1
     if n > run_start:
         occ[key] = occ.get(key, 0) + n - run_start
+    return mc, ds, dq, lc, occ
 
 
 def run(
@@ -300,14 +289,14 @@ def run(
         raise DomainError(f"seed must be non-negative, got {seed}")
 
     n_agent = model.n_agent_types
-    n_good = model.n_good_types
-    edge_of = [[None] * n_agent for _ in range(n_good)]
+    n_edge = len(model.edge_list)
+    edge_of = [[None] * n_agent for _ in range(model.n_good_types)]
     for e, (g, a) in enumerate(model.edge_list):
         edge_of[model.good_index[g]][model.agent_index[a]] = e
 
     queues = [deque() for _ in range(n_agent)]
     order: list[int] = []
-    tallies: list[_BatchTally] = []  # of the counted batches, their occupancy merged
+    counters = []  # of the counted batches: matches, delay sums, squared delays, losses
     # occupancy entries of all batches, batch after batch: order row and count
     order_rows: dict[tuple[int, ...], int] = {}
     entry_rows: list[int] = []
@@ -322,19 +311,20 @@ def run(
     codes = itertools.chain.from_iterable(_event_codes(model, n_events, seed))
     lo = 0
     for hi in starts:
-        tally = _BatchTally(len(model.edge_list), n_good)
-        _sim_batch(itertools.islice(codes, hi - lo), lo, n_agent, edge_of, queues, order, tally)
+        *batch, occupancy = _sim_batch(itertools.islice(codes, hi - lo), lo, n_agent, edge_of,
+                                       n_edge, queues, order)
         lo = hi
         if hi == burn_in:
-            burn_in_matches = sum(tally.match_counts)  # the burn-in counts in total_agents only
-            continue
-        tallies.append(tally)
-        entry_rows += [order_rows.setdefault(key, len(order_rows)) for key in tally.occupancy]
-        entry_counts += tally.occupancy.values()
-        batch_entries.append(len(tally.occupancy))
-        tally.occupancy.clear()
+            burn_in_matches = sum(batch[0])  # the burn-in counts in total_agents only
+        else:
+            counters.append(batch)
+            entry_rows += [order_rows.setdefault(key, len(order_rows)) for key in occupancy]
+            entry_counts += occupancy.values()
+            batch_entries.append(len(occupancy))
+        del occupancy  # before the next batch builds its own
 
-    match_counts = np.array([t.match_counts for t in tallies], dtype=np.int64)
+    matches, delay_sums, delay_sqs, losses = zip(*counters)
+    match_counts = np.array(matches, dtype=np.int64)
     final_unmatched = sum(len(q) for q in queues)
     # every agent that arrived was matched or is still waiting
     total_agents = burn_in_matches + int(match_counts.sum()) + final_unmatched
@@ -345,9 +335,9 @@ def run(
         burn_in=burn_in,
         n_batches=n_batches,
         match_counts=match_counts,
-        delay_sums=np.array([t.delay_sums for t in tallies], dtype=np.int64),
-        delay_sqs=np.array([t.delay_sqs for t in tallies], dtype=np.float64),
-        loss_counts=np.array([t.loss_counts for t in tallies], dtype=np.int64),
+        delay_sums=np.array(delay_sums, dtype=np.int64),
+        delay_sqs=np.array(delay_sqs, dtype=np.float64),
+        loss_counts=np.array(losses, dtype=np.int64),
         events_counts=np.diff(starts),
         entry_rows=np.array(entry_rows, dtype=np.int64),
         entry_batches=np.repeat(np.arange(len(batch_entries)), batch_entries),

@@ -158,3 +158,5 @@ def test_dedicated_baseline_validation(example3x3):
         dedicated_baseline(example3x3, {"s1": "c3"})  # not an edge
     with pytest.raises(DuplicateType):
         dedicated_baseline(example3x3, {"s1": "c2", "s3": "c2"})
+    with pytest.raises(DuplicateType):  # a repeated good, which a dict would drop
+        dedicated_baseline(example3x3, [("s1", "c1"), ("s1", "c2")])
