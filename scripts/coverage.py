@@ -4,7 +4,9 @@ over many seeds.
     python3 scripts/coverage.py --seeds 200 --out BENCH_27.json
 
 The cases are paper-3x3 at 2e4 and at 1e5 events and verify-wide at 2e5
-events, the models read from bench/workloads.py, which is only read. Each
+events, the models read from bench/workloads.py, which is only read, in a
+child interpreter under PYTHONHASHSEED=0: verify-wide's lambda_bar sums a set
+of goods, so it would follow the string hash seed of this one. Each
 case runs simulator.run with the default burn-in and compare_with_analytic, in
 this process, for seeds 1..N, on this checkout's src.
 
@@ -27,6 +29,7 @@ import json
 import math
 import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -40,12 +43,15 @@ P_ABOVE_4 = math.erfc(4 / math.sqrt(2))  # P(|Z| > 4) for a standard Gaussian Z
 
 
 def bench_models() -> dict[str, dict]:
-    """paper-3x3 and verify-wide from bench/workloads.py, which is only read."""
-    sys.dont_write_bytecode = True  # leave no __pycache__ in bench/
-    sys.path.insert(0, str(ROOT / "bench"))
-    from workloads import PAPER_3X3, WORKLOADS
-
-    return {"paper-3x3": PAPER_3X3, "verify-wide": WORKLOADS["verify-wide"].model(0, 0)}
+    """paper-3x3 and verify-wide from bench/workloads.py, which is only read,
+    generated under a fixed hash seed and read back as JSON."""
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); "
+            "from workloads import PAPER_3X3, WORKLOADS; "
+            "print(json.dumps({'paper-3x3': PAPER_3X3, 'verify-wide': WORKLOADS['verify-wide'].model(0, 0)}))")
+    out = subprocess.run([sys.executable, "-B", "-c", code, str(ROOT / "bench")],  # -B: no __pycache__ in bench/
+                         check=True, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONHASHSEED": "0"})
+    return json.loads(out.stdout)
 
 
 def family(quantity: str, analytic: float) -> str:

@@ -3,6 +3,7 @@
     python3 scripts/subset_scale.py --src src --types 9,14,17,20 --repeats 3
     python3 scripts/subset_scale.py --src src --types 14,17,20 --probes table,rates,delays
     python3 scripts/subset_scale.py --src src --types 16,18 --probes sweep
+    python3 scripts/subset_scale.py --src src --types 12,16 --probes table,transforms
 
 --src is the source directory of the tree to measure, so two checkouts can be
 compared with the same script. For each I the script writes one random model
@@ -19,9 +20,12 @@ that loads the model and makes one cold call:
     rates           analytic.matching_rates
     delays          delays.delay_moments (the delay moments)
     sweep           limits.sweep on 9 points evenly over [rho / 2, rho]
+    transforms      delays.delay_pgf at z = 0.5 and delays.wait_mgf at s =
+                    min_stage_rate / 2, on the first edge, with the subset
+                    table built before the clock starts: one point of each
 
 A probe reports its wall time (time.perf_counter around the call, import and
-model load excluded) and the process's peak RSS (ru_maxrss, interpreter and
+model load excluded, and for transforms the table too) and the process's peak RSS (ru_maxrss, interpreter and
 import included). The script prints the median time and the largest peak RSS
 per probe (and the smallest, to show the spread); the last line of output is
 one JSON object.
@@ -40,7 +44,7 @@ import tempfile
 import time
 from pathlib import Path
 
-PROBES = ("scan", "checks", "table", "min_stage_rate", "rates", "delays", "sweep")
+PROBES = ("scan", "checks", "table", "min_stage_rate", "rates", "delays", "sweep", "transforms")
 SWEEP_POINTS = 9
 EDGE_DENSITY = 0.4
 DIRICHLET_SHAPE = 2.0
@@ -100,7 +104,11 @@ def probe(src: str, name: str, model_path: str) -> dict:
         "delays": [delays.delay_moments],
         "sweep": [lambda m: limits.sweep(m, [m.rho * (SWEEP_POINTS - 1 + k) / (2 * SWEEP_POINTS - 2)
                                              for k in range(SWEEP_POINTS)])],
+        "transforms": [lambda m: delays.delay_pgf(m, m.edge_list[0], 0.5),
+                       lambda m: delays.wait_mgf(m, m.edge_list[0], delays.min_stage_rate(m) / 2)],
     }[name]
+    if name == "transforms":
+        model.subset_table  # built before the clock starts
     start = time.perf_counter()
     for call in calls:
         call(model)

@@ -8,15 +8,16 @@ weight F(T) over the 2^I agent sets, the set recursion of order-independent
 queues. One table per model holds theta, W, F and the per-edge rate and delay
 moment sums, built in O(J * I * 2^I) steps. The model keeps it
 (MatchingModel.subset_table), so it lives exactly as long as its model. It
-holds no wait sums: with Lambda = lambda_bar + mu_bar, a Poisson wait is the
-sum of its delay's count of Exp(Lambda) gaps, so delays.py derives every wait
-value from the delay law through Lambda. _subset_table, the one builder that
+holds no wait sums and no transforms: a stage's transform factor folds into
+its drain rate, so delays.py gets E[exp(sW)] from the completion pass
+_completions at theta - s and E[z^D] from it at (z lambda, z theta + (1 - z)
+Lambda), Lambda = lambda_bar + mu_bar. _subset_table, the one builder that
 reads the model, takes theta from its subset scan (MatchingModel.subset_scan,
 which answers the stability, pooling and rho* checks) and calls _table_core,
-the recursions over plain lists in +, -, * and /, which run on any number
-type. It builds a table only for a model check_stability calls stable, so
-every theta is at least STABILITY_MARGIN * Lambda; the scan refuses a model
-whose 2^I-set lists would not fit in memory. No other limit applies.
+the recursions over plain lists in +, -, * and / with no float literal, which
+run on any number type, Fraction exactly. It builds a table only for a model
+check_stability calls stable, so every theta is at least STABILITY_MARGIN *
+Lambda; the scan refuses a model whose 2^I-set lists would not fit in memory.
 
 enumerate_terms, the depth-first walk over all e * I! ordered subsets, stays
 in the package as public API and as the independent oracle the table is
@@ -121,8 +122,6 @@ class _SubsetTable(NamedTuple):
     (position counts) weight * E[D] and weight * E[D^2] given the order.
     _table_core computes b, w, f0 and the sums from plain lists; _subset_table,
     its one model reader, refuses a zero-rate edge, so every rate is positive.
-    The table keeps no wait sums: delays.delay_moments derives the wait values
-    from the delay values through Lambda = lambda_bar + mu_bar.
     """
 
     b: float
@@ -159,33 +158,42 @@ def _subset_table(model: MatchingModel) -> _SubsetTable:
 def _table_core(lam, theta, total_rate, agents_of_good):
     """The table's recursions over lam per agent type, theta per agent set,
     total_rate = lambda_bar + mu_bar and each good's compatible-agent mask: W by
-    increasing mask, the completions by decreasing mask, then per good the
-    first-match sums (raw, de, de2), as (b, w, f0, sums). Only +, -, * and /,
-    and no comparison of numbers, so any number type runs it."""
+    increasing mask, _completions, then per good the first-match sums (raw, de,
+    de2), as (b, w, f0, sums). No comparison of numbers and no float literal, so
+    any number type runs it, Fraction exactly."""
     size = len(theta)
     bits = [(1 << k, lam_k) for k, lam_k in enumerate(lam)]
 
-    w = [1.0] * size
+    one = total_rate ** 0  # 1 of the inputs' type: adds from an int miss CPython's float fast path
+    w = [one] * size
     for s in range(1, size):
-        acc = 0.0
+        acc = one - one
         for bit, lam_k in bits:
             if s & bit:
                 acc += w[s ^ bit] * lam_k
         w[s] = acc / theta[s]
 
-    # Completions: F0(T) = 1 + sum_k c_k F0(T+k) with c_k = lambda_k / theta(T+k).
-    # A continuation of T passes one independent delay stage G(T') at every set
-    # T' from T on, and D is their sum; F1 sums weight * E[D] and F2 weight *
-    # E[D^2], given the order:
-    # F1(T) = E[G(T)] F0(T) + sum_k c_k F1(T+k),
-    # F2(T) = E[G(T)^2] F0(T) + 2 E[G(T)] sum_k c_k F1(T+k) + sum_k c_k F2(T+k).
-    # A stage is Geom(p) with p = theta / total_rate: E[G] = a = 1/p and
-    # E[G^2] = (2 - p) a^2.
-    f0 = [1.0] * size
-    d1, d2 = [0.0] * size, [0.0] * size
+    f0, d1, d2 = _completions(lam, theta, total_rate)
+    return 1 / f0[0], w, f0, [_first_match_sums(lam, m, w, theta, (f0, d1, d2)) for m in agents_of_good]
+
+
+def _completions(lam, theta, total_rate):
+    """The completions (f0, d1, d2) by decreasing mask: F0(T) = 1 + sum_k c_k
+    F0(T+k) with c_k = lambda_k / theta(T+k). A continuation of T passes one
+    independent delay stage G(T') at every set T' from T on, and D is their
+    sum; F1 sums weight * E[D] and F2 weight * E[D^2], given the order:
+    F1(T) = E[G(T)] F0(T) + sum_k c_k F1(T+k),
+    F2(T) = E[G(T)^2] F0(T) + 2 E[G(T)] sum_k c_k F1(T+k) + sum_k c_k F2(T+k).
+    A stage is Geom(p) with p = theta / total_rate: E[G] = a = 1/p and
+    E[G^2] = (2 - p) a^2."""
+    size = len(theta)
+    bits = [(1 << k, lam_k) for k, lam_k in enumerate(lam)]
+    one = total_rate ** 0  # as in _table_core
+    f0 = [one] * size
+    d1, d2 = [one - one] * size, [one - one] * size
     for t in range(size - 1, -1, -1):
-        s0 = 1.0
-        sd1 = sd2 = 0.0
+        s0 = one
+        sd1 = sd2 = one - one
         for bit, lam_k in bits:
             if t & bit:
                 continue
@@ -198,11 +206,10 @@ def _table_core(lam, theta, total_rate, agents_of_good):
         if not t:
             break  # the empty set is no stage
         p = theta[t] / total_rate
-        a = 1.0 / p
+        a = 1 / p
         d1[t] = a * s0 + sd1
-        d2[t] = (2.0 - p) * a * a * s0 + 2.0 * a * sd1 + sd2
-
-    return 1.0 / f0[0], w, f0, [_first_match_sums(lam, m, w, theta, (f0, d1, d2)) for m in agents_of_good]
+        d2[t] = (2 - p) * a * a * s0 + 2 * a * sd1 + sd2
+    return f0, d1, d2
 
 
 def _first_match_sums(lam, compatible: int, w, theta, completions) -> list[list]:
@@ -214,7 +221,7 @@ def _first_match_sums(lam, compatible: int, w, theta, completions) -> list[list]
     n = len(lam)
     free = ((1 << n) - 1) & ~compatible
     agents = [(i, 1 << i, lam[i]) for i in range(n) if compatible >> i & 1]
-    sums = [[0.0] * n for _ in completions]
+    sums = [[0] * n for _ in completions]
     pairs = list(zip(sums, completions))
     p = free
     while True:  # every subset p of free, free itself first and 0 last
@@ -227,25 +234,6 @@ def _first_match_sums(lam, compatible: int, w, theta, completions) -> list[list]
         if not p:
             return sums
         p = (p - 1) & free
-
-
-def _mixture(lam, compatible: int, w, theta, total_rate, i: int, z) -> float:
-    """Sum over the orders in which agent i is the first type in the mask
-    compatible of one good, of weight times the product of the stage PGFs
-    z p / (1 - z (1 - p)), p = theta / total_rate, over the prefixes from the
-    match position onward."""
-    bits = [(1 << k, lam_k) for k, lam_k in enumerate(lam)]
-    # H(T) = stage PGF at theta(T) * (1 + sum_k lambda_k / theta(T+k) * H(T+k))
-    h = [0.0] * len(theta)
-    for t in range(len(theta) - 1, 0, -1):
-        acc = 1.0
-        for bit, lam_k in bits:
-            if not t & bit:
-                u = t | bit
-                acc += lam_k / theta[u] * h[u]
-        p = theta[t] / total_rate
-        h[t] = z * p / (1.0 - z * (1.0 - p)) * acc
-    return _first_match_sums(lam, compatible, w, theta, (h,))[0][i]
 
 
 def _orders_above(model: MatchingModel, threshold: float) -> dict[tuple[str, ...], float]:

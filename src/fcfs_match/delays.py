@@ -2,26 +2,27 @@
 
 Conditional on the waiting-type order, the distance between a matched agent
 and its good is a sum of independent geometric stage variables, one per type
-appearing at or after the match position. Delay moments therefore come out of
-the same subset table as the matching rates, as additive completions over the
-2^I agent sets, and each generating-function point is one multiplicative
-completion over those sets: O(J * I * 2^I) steps either way.
+appearing at or after the match position. Delay moments and transforms
+therefore come out of the subset table's completions over the 2^I agent sets.
 
 Under Poisson arrivals the items arrive in Exp(Lambda) gaps, Lambda =
 lambda_bar + mu_bar, independent of the sequence, so a wait is the sum of its
-delay's D gaps and every wait value follows from the delay law:
-E[W] = E[D] / Lambda, Var W = (Var D + E[D]) / Lambda^2 and
-E[exp(sW)] = E[z^D] at z = Lambda / (Lambda - s). A stage's Geom(theta /
-Lambda) count of gaps is then Exp(theta), the stage factor theta / (theta - s).
-So delay_moments reports delays, and wait_moments turns that report into
-waits; each DelayReport holds one unit only.
+delay's D gaps: E[W] = E[D] / Lambda and Var W = (Var D + E[D]) / Lambda^2.
+So delay_moments reports delays, and wait_moments turns them into waits. A
+stage's gaps sum to Exp(theta), and its transform factor folds into the rate
+lambda_k / theta of entering it: theta / (theta - s) * lambda_k / theta =
+lambda_k / (theta - s), and z p / (1 - z (1 - p)) * lambda_k / theta =
+z lambda_k / (z theta + (1 - z) Lambda), p = theta / Lambda. So E[exp(sW)] is
+the completion pass analytic._completions at theta - s and E[z^D] the pass at
+(z lambda, z theta + (1 - z) Lambda): exactly 1 at s = 0 and z = 1, where the
+inputs are the model's own.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .analytic import _mixture, matching_rates
+from .analytic import _completions, _first_match_sums, matching_rates
 from .errors import DomainError, UnknownIdentifier, ZeroRate
 from .model import MatchingModel, _order_indices, _stable_scan
 
@@ -103,25 +104,29 @@ def wait_moments(model: MatchingModel) -> DelayReport:
     )
 
 
-def _pair_transform(model: MatchingModel, pair, z: float) -> float:
-    """E[z^D] of the pair delay D: the mean over the pair's matches of the
-    product of the stage PGFs z p / (1 - z (1 - p)), p = theta / (lambda_bar +
-    mu_bar), over the stages from the match position onward."""
+def _pair_transform(model: MatchingModel, pair, z: float, s: float) -> float:
+    """E[z^D exp(sW)] of the pair: its first-match sum with F0 completed on
+    the arrival rates z lambda and the drain rates z theta + (1 - z) Lambda -
+    s, over its sum on the model's own rates (module docstring). delay_pgf
+    takes s = 0 and wait_mgf z = 1."""
     g, a = pair
     if g not in model.good_index or a not in model.agent_index:
         raise UnknownIdentifier(f"unknown pair ({g!r}, {a!r})")
     if not model.is_edge(g, a):
         raise ZeroRate(f"({g!r}, {a!r}) is not a compatibility edge; its rate is zero")
     table, j, i = model.subset_table, model.good_index[g], model.agent_index[a]
-    h = _mixture(model.agent_rates, model.agents_of_good[j], table.w, table.theta, model.total_rate, i, z)
-    return h / table.edges[(g, a)][1]
+    lam, shift = [z * x for x in model.agent_rates], (1 - z) * model.total_rate
+    theta = [z * t + shift - s for t in table.theta]
+    f0 = _completions(lam, theta, model.total_rate)[0]
+    return _first_match_sums(lam, model.agents_of_good[j], table.w, theta, (f0,))[0][i] / table.edges[(g, a)][1]
 
 
 def delay_pgf(model: MatchingModel, pair, z: float) -> float:
-    """Probability generating function of the pair delay, for z in [0, 1]."""
+    """Probability generating function of the pair delay, for z in [0, 1]:
+    the completion at (z lambda, z theta + (1 - z) Lambda)."""
     if not 0.0 <= z <= 1.0:
         raise DomainError(f"z = {z!r} outside [0, 1]")
-    return _pair_transform(model, pair, z)
+    return _pair_transform(model, pair, z, 0)
 
 
 def min_stage_rate(model: MatchingModel) -> float:
@@ -133,10 +138,9 @@ def min_stage_rate(model: MatchingModel) -> float:
 
 def wait_mgf(model: MatchingModel, pair, s: float) -> float:
     """Moment generating function of the pair waiting time, for s below the
-    smallest stage rate over nonempty agent subsets: the delay PGF at
-    z = Lambda / (Lambda - s), whose stage factor is theta / (theta - s)."""
+    smallest stage rate over nonempty agent subsets: the completion at
+    theta - s, whose stage factor is theta / (theta - s)."""
     limit = min_stage_rate(model)
     if not s < limit:
         raise DomainError(f"s = {s!r} must lie strictly below the smallest stage rate {limit!r}")
-    total_rate = model.total_rate
-    return _pair_transform(model, pair, total_rate / (total_rate - s))
+    return _pair_transform(model, pair, 1, s)

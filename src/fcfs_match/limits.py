@@ -73,20 +73,13 @@ def sweep(model: MatchingModel, rho_grid) -> SweepSeries:
     # a generator, so each grid model, with its subset scan and table, can go
     # once its reports are built
     points = (model.with_lambda_bar(rho * model.mu_bar) for rho in grid)
-    results = [(matching_rates(point), delay_moments(point)) for point in points]
+    rate_reports, delay_reports = zip(*[(matching_rates(p), delay_moments(p)) for p in points])
 
-    first_rates, first_delays = results[0]
-    rates = {
-        pair: tuple(res[0].rates[pair] for res in results) for pair in first_rates.rates
-    }
-    loss = {g: tuple(res[0].loss[g] for res in results) for g in first_rates.loss}
-    delay_mean = {
-        pair: tuple(res[1].pair_mean[pair] for res in results) for pair in first_delays.pair_mean
-    }
-    delay_var = {
-        pair: tuple(res[1].pair_var[pair] for res in results) for pair in first_delays.pair_var
-    }
-    return SweepSeries(grid, rates, loss, delay_mean, delay_var)
+    def series(reports, field):  # {key: its value at each point}, keys in the first report's order
+        return {k: tuple(getattr(r, field)[k] for r in reports) for k in getattr(reports[0], field)}
+
+    return SweepSeries(grid, series(rate_reports, "rates"), series(rate_reports, "loss"),
+                       series(delay_reports, "pair_mean"), series(delay_reports, "pair_var"))
 
 
 class DedicatedPair(NamedTuple):

@@ -364,16 +364,25 @@ def validate(model: MatchingModel) -> MatchingModel:
     return model
 
 
-def _mask(model: MatchingModel, side: str, names: Iterable[str]) -> int:
-    """The bitmask of the given types of one side, "agent" or "good"."""
+def _indices(model: MatchingModel, side: str, names: Iterable[str]) -> list[int]:
+    """The indices of the given types of one side, "agent" or "good", in the
+    order given. A bare string, which would read as its characters, raises
+    DomainError, and a name that is no declared type UnknownIdentifier."""
+    if isinstance(names, str):
+        raise DomainError(f"{side} types {names!r} must be a collection of names, not a string")
     index = model.agent_index if side == "agent" else model.good_index
-    mask = 0
+    indices = []
     for n in names:
-        i = index.get(n)
-        if i is None:
-            raise UnknownIdentifier(f"unknown {side} type {n!r}")
-        mask |= 1 << i
-    return mask
+        try:
+            indices.append(index[n])
+        except (KeyError, TypeError):
+            raise UnknownIdentifier(f"unknown {side} type {n!r}") from None
+    return indices
+
+
+def _mask(model: MatchingModel, side: str, names: Iterable[str]) -> int:
+    """The bitmask of the given types of one side (_indices)."""
+    return sum(1 << i for i in set(_indices(model, side, names)))
 
 
 def _names(names: tuple[str, ...], mask: int) -> tuple[str, ...]:
@@ -496,19 +505,15 @@ def _stable_scan(model: MatchingModel) -> SubsetScan:
 
 
 def _order_indices(model: MatchingModel, order) -> list[int]:
-    """The type indices of an order of distinct agent types, as pi_y_perm and
-    geometric_stage take it. Raises DomainError when it is empty, DuplicateType
-    when a type repeats and UnknownIdentifier for an unknown type."""
-    names = tuple(order)
-    if not names:
+    """The indices of an order of distinct agent types (pi_y_perm, geometric_stage):
+    _indices, then DomainError when it is empty and DuplicateType on a repeat."""
+    indices = _indices(model, "agent", order)
+    if not indices:
         raise DomainError("order must be a nonempty sequence of agent types")
-    if len(set(names)) != len(names):
+    if len(set(indices)) != len(indices):
+        names = tuple(model.agent_names[i] for i in indices)
         raise DuplicateType(f"order {names} repeats an agent type")
-    index = model.agent_index
-    for name in names:
-        if name not in index:
-            raise UnknownIdentifier(f"unknown agent type {name!r}")
-    return [index[name] for name in names]
+    return indices
 
 
 def check_crp(model: MatchingModel) -> bool:

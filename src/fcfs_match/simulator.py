@@ -125,11 +125,13 @@ class SimStats:
         call per family: rate, delay_mean and delay_var keyed by edge in
         model.edge_list order, loss keyed by good, and pi_y keyed by order of
         agent names, the empty order (B) first and then each of orders, a
-        repeated order once. An order with an unknown or repeated agent type
-        raises UnknownIdentifier or DuplicateType."""
+        repeated order once. An order given as a string, or with an unknown or
+        repeated agent type, raises DomainError, UnknownIdentifier or DuplicateType."""
         model = self.model
-        keys = list(dict.fromkeys([(), *map(tuple, orders)]))
-        rows = [self.order_rows.get(tuple(_order_indices(model, o)) if o else (), -1) for o in keys]
+        asked = [tuple(_order_indices(model, o)) if o or isinstance(o, str) else () for o in orders]
+        orders = list(dict.fromkeys([(), *asked]))  # agent indices, B's order first, a repeat once
+        keys = [tuple(model.agent_names[i] for i in o) for o in orders]
+        rows = [self.order_rows.get(o, -1) for o in orders]
         # entries of rows not asked for land in one spare row, dropped at the
         # end; row -1 indexes the last slot, which no entry reads
         slot = np.full(len(self.order_rows) + 1, len(rows))

@@ -33,6 +33,14 @@ def make_single_pair(lam: float = 0.5, mu: float = 1.0) -> MatchingModel:
     )
 
 
+def make_one_letter_names() -> MatchingModel:
+    """Agents a, b and goods s, t, each named by one letter, so that a bare
+    string such as "ab" spells a set of declared types: s serves a and b, t
+    serves b."""
+    return MatchingModel((("a", 0.5), ("b", 0.5)), (("s", 0.5), ("t", 0.5)),
+                         {("s", "a"), ("s", "b"), ("t", "b")}, 0.5, 1.0)
+
+
 def make_disjoint_pairs() -> MatchingModel:
     """Two isolated pairs with alpha (0.5, 0.5), beta (0.4, 0.6): CRP fails."""
     return validate(

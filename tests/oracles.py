@@ -35,6 +35,12 @@ subset table, with no delay pass:
 * little_agent_pgf: E[z^N_a], by the same backward pass with the stage
   generating functions in place of the moments.
 
+One exact route measures how many digits the float table keeps:
+
+* exact_table and exact_transforms: the table's recursions in Fraction
+  arithmetic on the model's float rates, each read as the rational it holds,
+  with theta summed exactly; the core runs on any number type.
+
 One brute-force pass over agent subsets checks model.py's per-mask sums:
 
 * stability_checks: check_stability, check_crp and max_stable_rho, each subset
@@ -59,11 +65,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from fcfs_match import MatchingModel, enumerate_terms
+from fcfs_match.analytic import _completions, _first_match_sums, _table_core
 
 
 def _power_stationary(P: sp.csr_matrix, tol: float = 1e-14, max_iter: int = 500_000) -> np.ndarray:
@@ -464,6 +473,50 @@ def little_agent_pgf(model, a, z):
                 acc += lam_k / theta[t | bit] * (z if bit == 1 << i else 1.0) * h[t | bit]
         h[t] = acc / (1.0 + m[t] * (1.0 - z))
     return model.subset_table.b * h[0]
+
+
+class ExactTable(NamedTuple):
+    """The subset table of a model in exact rationals. edges maps each edge to
+    (rate, raw, delay mean, delay variance)."""
+
+    lam: list[Fraction]
+    theta: list[Fraction]
+    total_rate: Fraction
+    w: list[Fraction]
+    b: Fraction
+    edges: dict[tuple[str, str], tuple[Fraction, Fraction, Fraction, Fraction]]
+
+
+def exact_table(model) -> ExactTable:
+    """theta(S) = mu_{S(S)} - lambda_S summed exactly, then _table_core on
+    Fractions: every value is the exact one for the model's float rates."""
+    n = model.n_agent_types
+    lam = [Fraction(x) for x in model.agent_rates]
+    mu = [Fraction(x) for x in model.good_rates]
+    theta = [sum(m for m, agents in zip(mu, model.agents_of_good) if agents & s)
+             - sum(x for i, x in enumerate(lam) if s >> i & 1) for s in range(1 << n)]
+    total_rate = Fraction(model.total_rate)
+    b, w, _, sums = _table_core(lam, theta, total_rate, model.agents_of_good)
+    edges = {}
+    for g, a in model.edge_list:
+        j, i = model.good_index[g], model.agent_index[a]
+        raw, de, de2 = (column[i] for column in sums[j])
+        mean = de / raw
+        edges[(g, a)] = (b * mu[j] / Fraction(model.mu_bar) * raw, raw, mean, de2 / raw - mean * mean)
+    return ExactTable(lam, theta, total_rate, w, b, edges)
+
+
+def exact_transforms(model, table: ExactTable, z, s) -> dict[tuple[str, str], Fraction]:
+    """E[z^D exp(sW)] of every edge, exactly: the completion on the arrival
+    rates z lambda and the drain rates z theta + (1 - z) Lambda - s, for the
+    float z and s read as rationals."""
+    z, s = Fraction(z), Fraction(s)
+    lam = [z * x for x in table.lam]
+    theta = [z * t + (1 - z) * table.total_rate - s for t in table.theta]
+    f0 = _completions(lam, theta, table.total_rate)[0]
+    sums = [_first_match_sums(lam, m, table.w, theta, (f0,))[0] for m in model.agents_of_good]
+    return {(g, a): sums[model.good_index[g]][model.agent_index[a]] / entry[1]
+            for (g, a), entry in table.edges.items()}
 
 
 def ratio_estimate(num, den):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,9 +28,9 @@ from fcfs_match import (
 from fcfs_match.analytic import _orders_above, _subset_table, _table_core
 from fcfs_match.errors import DomainError, DuplicateType, UnknownIdentifier
 
-from conftest import make_example3x3, make_single_pair, random_stable_model
-from oracles import (bench_model, mixture_value, walk_sums, with_flexible_type, x_chain_rates,
-                     y_chain_rates)
+from conftest import make_example3x3, make_one_letter_names, make_single_pair, random_stable_model
+from oracles import (bench_model, exact_table, exact_transforms, mixture_value, walk_sums,
+                     with_flexible_type, x_chain_rates, y_chain_rates)
 
 # Published rate table of the 3x3 example (3-decimal rounding).
 EXPECTED_RATES_3X3 = {
@@ -165,6 +166,14 @@ def test_pi_y_perm_examples(example3x3, single_pair):
         pi_y_perm(example3x3, ("c1", "c1"))
     with pytest.raises(UnknownIdentifier):
         pi_y_perm(example3x3, ("c9",))
+    with pytest.raises(UnknownIdentifier):
+        pi_y_perm(example3x3, [["c1"]])
+    # a bare string is refused, not read as the order of its characters
+    letters = make_one_letter_names()
+    assert pi_y_perm(letters, ["a", "b"]) == pi_y_perm(letters, ("a", "b")) > 0.0
+    for model, order in ((letters, "ab"), (letters, "a"), (example3x3, "c1")):
+        with pytest.raises(DomainError):
+            pi_y_perm(model, order)
 
 
 def test_pi_y_perm_normalization():
@@ -268,6 +277,39 @@ def test_subset_table_matches_walk_oracle():
             kept = _orders_above(model, threshold)
             expected = {o: p for o, p in orders.items() if p > threshold}
             assert kept == pytest.approx(expected, rel=1e-12)
+
+
+def _relative_errors(got: dict, exact: dict) -> dict:
+    return {k: float(abs(Fraction(v) - exact[k]) / abs(exact[k])) for k, v in got.items()}
+
+
+def test_table_matches_exact_rationals():
+    # at half of rho* every output keeps all but the last few of its digits:
+    # B, the rates, the delay moments and the transforms against the same
+    # recursions in exact rationals on the model's float rates
+    rng = np.random.default_rng(11)
+    models = [make_example3x3(), bench_model("verify-wide")]
+    models += [random_stable_model(rng) for _ in range(12)]
+    for model in models:
+        model = model.with_lambda_bar(0.5 * max_stable_rho(model).value * model.mu_bar)
+        exact = exact_table(model)
+        rates, delays = matching_rates(model), delay_moments(model)
+        got = {"b": rates.b}
+        want = {"b": exact.b}
+        for edge, (rate, _, mean, var) in exact.edges.items():
+            got.update({("rate", edge): rates.rates[edge], ("mean", edge): delays.pair_mean[edge],
+                        ("var", edge): delays.pair_var[edge]})
+            want.update({("rate", edge): rate, ("mean", edge): mean, ("var", edge): var})
+        limit = min_stage_rate(model)
+        points = [(delay_pgf, z, z, 0) for z in (0.5, 0.999)]
+        points += [(wait_mgf, k * limit, 1, k * limit) for k in (-1, 0.5, 0.9)]
+        for call, x, z, s in points:
+            for edge, value in exact_transforms(model, exact, z, s).items():
+                got[(call.__name__, x, edge)] = call(model, edge, x)
+                want[(call.__name__, x, edge)] = value
+        errors = _relative_errors(got, want)
+        worst = max(errors, key=errors.get)
+        assert errors[worst] <= 1e-13, (model, worst, errors[worst])
 
 
 def _flexible_paper_model():

@@ -22,7 +22,7 @@ from fcfs_match import (
 from fcfs_match.errors import DuplicateType, UnknownIdentifier
 from fcfs_match.simulator import _event_codes, run
 
-from conftest import make_example3x3, make_single_pair, random_stable_model
+from conftest import make_example3x3, make_one_letter_names, make_single_pair, random_stable_model
 from oracles import (
     bench_model,
     joined,
@@ -76,6 +76,12 @@ def test_geometric_stage_errors(example3x3):
         geometric_stage(example3x3, ("c1", "c1"))
     with pytest.raises(UnknownIdentifier):
         geometric_stage(example3x3, ("zz",))
+    with pytest.raises(UnknownIdentifier):
+        geometric_stage(example3x3, [["c1"]])
+    # a bare string is refused, not read as the order of its characters
+    for model, prefix in ((make_one_letter_names(), "ab"), (example3x3, "c1")):
+        with pytest.raises(DomainError):
+            geometric_stage(model, prefix)
 
 
 def test_stage_moments():
@@ -412,6 +418,12 @@ def test_pgf_normalization_and_derivative(example3x3):
         assert g1 == pytest.approx(1.0, abs=1e-12)
         slope = (g1 - delay_pgf(example3x3, pair, 1.0 - h)) / h
         assert slope == pytest.approx(report.pair_mean[pair], rel=1e-4)
+    # at z = 1 the completion runs on the model's own rates, so the ratio is
+    # exactly 1; at z = 0 every arrival rate is 0, and so is the sum
+    for model in (example3x3, bench_model("verify-wide")):
+        for pair in model.edge_list:
+            assert delay_pgf(model, pair, 1.0) == 1.0, (model, pair)
+            assert delay_pgf(model, pair, 0.0) == 0.0, (model, pair)
 
 
 def test_pgf_hand_value_single_pair():
@@ -437,6 +449,9 @@ def test_mgf_normalization_and_derivative(example3x3):
         assert wait_mgf(example3x3, pair, 0.0) == pytest.approx(1.0, abs=1e-12)
         slope = (wait_mgf(example3x3, pair, h) - 1.0) / h
         assert slope == pytest.approx(report.pair_mean[pair], rel=1e-4)
+    for model in (example3x3, bench_model("verify-wide")):
+        for pair in model.edge_list:
+            assert wait_mgf(model, pair, 0.0) == 1.0, (model, pair)
 
 
 def test_mgf_hand_value_single_pair():

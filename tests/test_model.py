@@ -39,6 +39,7 @@ from fcfs_match import (
 from fcfs_match import analytic
 from fcfs_match import model as model_module
 from fcfs_match.errors import (
+    DomainError,
     DuplicateType,
     FrequencySumError,
     IsolatedAgentType,
@@ -47,7 +48,8 @@ from fcfs_match.errors import (
     ValidationIssue,
 )
 
-from conftest import make_example3x3, make_single_pair, make_disjoint_pairs, random_stable_model
+from conftest import (make_disjoint_pairs, make_example3x3, make_one_letter_names, make_single_pair,
+                      random_stable_model)
 from oracles import stability_checks
 
 
@@ -196,6 +198,18 @@ def test_unique_users_examples(example3x3):
 def test_unknown_identifier_raised(example3x3):
     with pytest.raises(UnknownIdentifier):
         compatible_goods(example3x3, ["nope"])
+    # a bare string is refused, not read as a set of its characters, and an
+    # unhashable name is an unknown type, not a bare TypeError
+    letters = make_one_letter_names()
+    for model, agents, goods in ((letters, "ab", "st"), (example3x3, "c1", "s1")):
+        for call, names in ((compatible_goods, agents), (compatible_agents, goods),
+                            (unique_users, goods)):
+            with pytest.raises(DomainError):
+                call(model, names)
+            with pytest.raises(UnknownIdentifier):
+                call(model, [[names[0]]])
+    assert compatible_goods(letters, ("a", "b")) == ("s", "t")
+    assert compatible_agents(letters, ["t"]) == ("b",)
 
 
 def test_neighborhood_monotonicity():

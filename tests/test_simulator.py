@@ -370,6 +370,13 @@ def test_pi_y_rejects_unknown_and_repeated_types(warm_kernel):
         warm_kernel.estimates([("c1", "c1")])
     with pytest.raises(DuplicateType):
         warm_kernel.estimates([("c1", "c2", "c1")])
+    # a bare string is refused, the empty one too, not read as the order of
+    # its characters; an unhashable name is an unknown type
+    for order in ("c1", ""):
+        with pytest.raises(DomainError):
+            warm_kernel.estimates([order])
+    with pytest.raises(UnknownIdentifier):
+        warm_kernel.estimates([[["c1"]]])
     order = ("c1", "c2")
     assert (warm_kernel.estimates([order])["pi_y"][order]
             == warm_kernel.estimates([list(order)])["pi_y"][order])
