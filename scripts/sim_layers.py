@@ -1,6 +1,6 @@
 """Time the simulator's layers on one model: run, split into the uniform draws,
-the kernel and the rest of run, and compare_with_analytic; and measure their
-memory.
+the kernel and the rest of run, and compare_with_analytic; time the draws of
+both uniform sources; and measure the layers' memory.
 
     python3 scripts/sim_layers.py --src src --model model.json --events 200000 --seed 1
 
@@ -11,9 +11,15 @@ compare_with_analytic), and warm, over 5 further calls: the layers of the
 call with the median run_s, and the median compare_s. run's time splits into
 three layers that sum to run_s: draws_s is the time spent in the steps of
 simulator._event_codes (drawing the uniforms and decoding them into Python
-int event codes); kernel_s is the time spent in the simulator._sim_batch
+int event codes, from the source NUMPY_EVENTS picks for --events, a cold
+numpy import included); kernel_s is the time spent in the simulator._sim_batch
 calls less the draws they pulled; rest_s is everything else in run, chiefly
-the occupancy entries and stacking the counters into arrays.
+the occupancy entries.
+
+Last, after the memory figures below, the draws alone run at the same
+--events from each source, pure Python and numpy (NUMPY_EVENTS set to
+--events and to 0), the sources alternating, 5 times each: draws_s holds each
+source's median. A first numpy draw that imports numpy is one of the 5.
 
 Memory comes after the timed calls, of which only the cold run's statistics
 stay alive: first the process's peak RSS (ru_maxrss), then the tracemalloc
@@ -103,12 +109,26 @@ def main(argv: list[str] | None = None) -> int:
     max_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     traced, run_peak = traced_peak_mb(simulator.run, model, args.events, args.seed)
     _, compare_peak = traced_peak_mb(simulator.compare_with_analytic, model, traced)
+    sources = {"pure": args.events, "numpy": 0}  # the NUMPY_EVENTS that picks each
+    draws = {source: [] for source in sources}
+    numpy_events = simulator.NUMPY_EVENTS
+    try:
+        for _ in range(WARM_REPEATS):
+            for source, limit in sources.items():
+                simulator.NUMPY_EVENTS = limit
+                t = time.perf_counter()
+                for _codes in event_codes(model, args.events, args.seed):
+                    pass
+                draws[source].append(time.perf_counter() - t)
+    finally:
+        simulator.NUMPY_EVENTS = numpy_events
     result = {
         "model": args.model,
         "events": args.events,
         "seed": args.seed,
         "cold": {k: round(cold[k], 6) for k in layers},
         "warm_median": {k: round(median_run[k], 6) for k in layers},
+        "draws_s": {source: round(statistics.median(t), 6) for source, t in draws.items()},
         "memory_mb": {
             "run_traced_peak": round(run_peak, 3),
             "compare_traced_peak": round(compare_peak, 3),
@@ -118,7 +138,7 @@ def main(argv: list[str] | None = None) -> int:
         "occupancy_entries": len(stats.entry_counts),
         "verify_rows": n_rows,
     }
-    for phase in ("cold", "warm_median", "memory_mb"):
+    for phase in ("cold", "warm_median", "draws_s", "memory_mb"):
         print(phase, " ".join(f"{k}={v:.4f}" for k, v in result[phase].items()))
     print(f"occupancy_keys={result['occupancy_keys']} "
           f"occupancy_entries={result['occupancy_entries']} verify_rows={result['verify_rows']}")

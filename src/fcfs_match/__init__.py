@@ -4,8 +4,9 @@ Monte Carlo verifier for every analytic quantity.
 Every public name is listed in _EXPORTS under the submodule that defines it.
 Importing the package loads none of them: the first use of a name imports its
 submodule (PEP 562 module __getattr__) and binds the name here. So a caller
-pays only for the modules it uses, and numpy, which the simulator needs, loads
-only with a simulator name.
+pays only for the modules it uses. numpy loads only when the simulator draws
+a run of more than simulator.NUMPY_EVENTS (2^17) events; the package imports
+it nowhere else.
 """
 
 from __future__ import annotations

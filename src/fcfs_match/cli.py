@@ -14,7 +14,9 @@ hold a comma, so split each row from the right (4 times) to read it.
 
 Each command imports the modules it runs inside its function, so a call loads
 only those: validate loads no analytic module, rates no delay module, and only
-simulate and verify load numpy.
+simulate and verify load the simulator. They load numpy only for a run of more
+than simulator.NUMPY_EVENTS (2^17) events; a shorter run draws the same
+uniform stream in pure Python.
 """
 
 from __future__ import annotations
@@ -258,7 +260,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    from .simulator import run  # numpy loads only for the simulator commands
+    from .simulator import run
 
     model = load_model(args.model)
     stats = run(model, args.events, args.seed, burn_in=args.burn_in)

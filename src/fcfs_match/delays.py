@@ -23,8 +23,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .analytic import _completions, _first_match_sums, matching_rates
-from .errors import DomainError, UnknownIdentifier, ZeroRate
-from .model import MatchingModel, _order_indices, _stable_scan
+from .errors import DomainError, ZeroRate
+from .model import MatchingModel, _order_indices, _pair_indices, _stable_scan
 
 
 class GeometricStage(NamedTuple):
@@ -109,12 +109,11 @@ def _pair_transform(model: MatchingModel, pair, z: float, s: float) -> float:
     the arrival rates z lambda and the drain rates z theta + (1 - z) Lambda -
     s, over its sum on the model's own rates (module docstring). delay_pgf
     takes s = 0 and wait_mgf z = 1."""
-    g, a = pair
-    if g not in model.good_index or a not in model.agent_index:
-        raise UnknownIdentifier(f"unknown pair ({g!r}, {a!r})")
+    j, i = _pair_indices(model, pair)
+    g, a = model.good_names[j], model.agent_names[i]
     if not model.is_edge(g, a):
         raise ZeroRate(f"({g!r}, {a!r}) is not a compatibility edge; its rate is zero")
-    table, j, i = model.subset_table, model.good_index[g], model.agent_index[a]
+    table = model.subset_table
     lam, shift = [z * x for x in model.agent_rates], (1 - z) * model.total_rate
     theta = [z * t + shift - s for t in table.theta]
     f0 = _completions(lam, theta, model.total_rate)[0]

@@ -9,7 +9,7 @@ from typing import NamedTuple
 from .analytic import matching_rates
 from .delays import delay_moments
 from .errors import DomainError, DuplicateType, UnknownIdentifier, UnstableGridPoint
-from .model import MatchingModel, _mask_sum, check_stability, max_stable_rho
+from .model import MatchingModel, _mask_sum, _pair_indices, check_stability, max_stable_rho
 
 
 class LightTrafficLimit(NamedTuple):
@@ -96,17 +96,16 @@ def dedicated_baseline(model: MatchingModel, pairing) -> dict[tuple[str, str], D
     compatibility edges, given as a mapping or as (good, agent) pairs. Pairs
     with lambda_agent >= mu_good are reported unstable rather than raising.
     """
-    pairs = list(pairing.items() if isinstance(pairing, Mapping) else pairing)
-    if not len({g for g, _ in pairs}) == len({a for _, a in pairs}) == len(pairs):
+    pairs = [_pair_indices(model, pair)
+             for pair in (pairing.items() if isinstance(pairing, Mapping) else pairing)]
+    if not len({j for j, _ in pairs}) == len({i for _, i in pairs}) == len(pairs):
         raise DuplicateType("pairing must map distinct goods to distinct agents")
     out: dict[tuple[str, str], DedicatedPair] = {}
-    for g, a in pairs:
-        if g not in model.good_index or a not in model.agent_index:
-            raise UnknownIdentifier(f"unknown pair ({g!r}, {a!r})")
+    for j, i in pairs:
+        g, a = model.good_names[j], model.agent_names[i]
         if not model.is_edge(g, a):
             raise UnknownIdentifier(f"({g!r}, {a!r}) is not a compatibility edge")
-        mu = model.good_rates[model.good_index[g]]
-        lam = model.agent_rates[model.agent_index[a]]
+        mu, lam = model.good_rates[j], model.agent_rates[i]
         if lam < mu:
             out[(g, a)] = DedicatedPair(stable=True, wait_mean=1.0 / (mu - lam))
         else:

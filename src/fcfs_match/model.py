@@ -380,6 +380,22 @@ def _indices(model: MatchingModel, side: str, names: Iterable[str]) -> list[int]
     return indices
 
 
+def _pair_indices(model: MatchingModel, pair) -> tuple[int, int]:
+    """The (good, agent) indices of a pair of names. A string, or anything that
+    is not two names, raises DomainError, and a name that is no declared type
+    of its side UnknownIdentifier (_indices)."""
+    if isinstance(pair, str):
+        raise DomainError(f"pair {pair!r} must be a (good, agent) pair of names, not a string")
+    try:
+        g, a = pair
+    except (TypeError, ValueError):
+        raise DomainError(f"pair {pair!r} must be a (good, agent) pair of names") from None
+    try:
+        return _indices(model, "good", (g,))[0], _indices(model, "agent", (a,))[0]
+    except UnknownIdentifier:
+        raise UnknownIdentifier(f"unknown pair ({g!r}, {a!r})") from None
+
+
 def _mask(model: MatchingModel, side: str, names: Iterable[str]) -> int:
     """The bitmask of the given types of one side (_indices)."""
     return sum(1 << i for i in set(_indices(model, side, names)))

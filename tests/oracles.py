@@ -41,6 +41,13 @@ One exact route measures how many digits the float table keeps:
   arithmetic on the model's float rates, each read as the rational it holds,
   with theta summed exactly; the core runs on any number type.
 
+Two numpy routes check the simulator's plain-Python estimators:
+
+* ratio_estimate and variance_estimate: one row at a time, with numpy's std.
+
+* numpy_batch_means and numpy_batch_variances: all rows at once, numpy's
+  pairwise row sums and nanstd, which the simulator repeats to the bit.
+
 One brute-force pass over agent subsets checks model.py's per-mask sums:
 
 * stability_checks: check_stability, check_crp and max_stable_rho, each subset
@@ -553,6 +560,42 @@ def variance_estimate(sums, sqs, m):
     bm = sums[valid] / m[valid]
     bv = sqs[valid] / m[valid] - bm * bm
     return value, float(bv.std(ddof=1) / math.sqrt(int(valid.sum())))
+
+
+def _ratio(num, den, where):
+    return np.divide(num, den, out=np.full(np.broadcast(num, den).shape, math.nan), where=where)
+
+
+def _stderrs(ests):
+    count = np.count_nonzero(~np.isnan(ests), axis=1)
+    stderrs = np.full(len(ests), math.inf)
+    ok = count >= 2
+    stderrs[ok] = np.nanstd(ests[ok], axis=1, ddof=1) / np.sqrt(count[ok])
+    return stderrs
+
+
+def numpy_batch_means(num, den):
+    """The simulator's batch-means ratio estimates as numpy computes them, for
+    num (rows, batches) and den (batches,) or (rows, batches): each row's total
+    over den's total, and nanstd (ddof 1) of the per-batch ratios of the
+    batches with den > 0 over the root of their count. Returns (values,
+    stderrs) as lists."""
+    num, den = np.asarray(num), np.asarray(den)
+    total = den.sum(axis=-1)
+    return (_ratio(num.sum(axis=1), total, total > 0).tolist(),
+            _stderrs(_ratio(num, den, den > 0)).tolist())
+
+
+def numpy_batch_variances(sums, sqs, m):
+    """The simulator's batch-means delay variances as numpy computes them, rows
+    as in numpy_batch_means: the mean square less the squared mean, and the
+    per-batch variances of the batches with m > 1."""
+    sums, sqs, m = np.asarray(sums), np.asarray(sqs, dtype=np.float64), np.asarray(m)
+    total = m.sum(axis=1)
+    mean = _ratio(sums.sum(axis=1), total, total > 0)
+    batch_mean = _ratio(sums, m, m > 1)
+    return ((_ratio(sqs.sum(axis=1), total, total > 0) - mean * mean).tolist(),
+            _stderrs(_ratio(sqs, m, m > 1) - batch_mean * batch_mean).tolist())
 
 
 def with_flexible_type(model, name, alpha=None):

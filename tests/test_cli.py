@@ -700,6 +700,24 @@ def test_analytic_commands_do_not_import_simulator_or_numpy(tmp_path, model_file
     assert out.read_text().startswith("rho,good,agent,")
 
 
+def test_short_simulator_runs_do_not_import_numpy(tmp_path, model_file):
+    # a run of at most NUMPY_EVENTS (2^17) events draws numpy's stream in pure
+    # Python, so simulate and verify load numpy only for a longer run
+    code = (
+        "import sys\n"
+        "import fcfs_match.cli as cli\n"
+        "argv = [sys.argv[1], '--model', sys.argv[2], '--events', sys.argv[3], '--out', sys.argv[4]]\n"
+        "assert cli.main(argv + ['--z-max', 'inf'] * (argv[0] == 'verify')) == 0\n"
+        "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+    )
+    out = str(tmp_path / "out.txt")
+    for command, events, loaded in (("simulate", "20000", "False False"),
+                                    ("verify", "20000", "False False"),
+                                    ("verify", "131073", "True True")):
+        assert _run_fresh(code, command, str(model_file), events, out).strip() == loaded, (
+            command, events)
+
+
 def test_simulator_commands_run_without_scipy(model_file):
     # scipy is a test dependency only; the package must run where it is absent
     code = (

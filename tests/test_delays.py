@@ -352,6 +352,7 @@ def test_lumped_halves_split_exactly():
 def _merged(counts, keys, base_keys):
     """(batches, len(base_keys)) sums of the columns of counts, one per key of
     keys, onto the column of the base key each maps to."""
+    counts = np.asarray(counts)
     out = np.zeros((len(counts), len(base_keys)), dtype=counts.dtype)
     for k, key in enumerate(keys):
         out[:, base_keys.index(key)] += counts[:, k]
@@ -440,6 +441,20 @@ def test_pgf_domain_and_zero_rate(example3x3):
         delay_pgf(example3x3, ("s1", "c3"), 0.5)  # not an edge
     with pytest.raises(UnknownIdentifier):
         delay_pgf(example3x3, ("s1", "zz"), 0.5)
+    # a pair is two names: a string is refused, not read as its characters,
+    # and so is anything else that is not two names; an unhashable name is an
+    # unknown one
+    letters = make_one_letter_names()
+    for model, pair in ((letters, "sa"), (example3x3, "s1"), (example3x3, "s1c1"),
+                        (example3x3, ("s1",)), (example3x3, ("s1", "c1", "c2")), (example3x3, 5)):
+        for transform, arg in ((delay_pgf, 0.5), (wait_mgf, 0.1)):
+            with pytest.raises(DomainError):
+                transform(model, pair, arg)
+    for pair in ((["s1"], "c1"), ("s1", ["c1"])):
+        for transform, arg in ((delay_pgf, 0.5), (wait_mgf, 0.1)):
+            with pytest.raises(UnknownIdentifier, match="unknown pair"):
+                transform(example3x3, pair, arg)
+    assert delay_pgf(letters, ("s", "a"), 0.5) == delay_pgf(letters, ["s", "a"], 0.5)
 
 
 def test_mgf_normalization_and_derivative(example3x3):

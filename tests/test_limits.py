@@ -14,7 +14,7 @@ from fcfs_match import (
 )
 from fcfs_match.errors import DomainError, DuplicateType, UnknownIdentifier
 
-from conftest import make_disjoint_pairs, make_example3x3, make_single_pair
+from conftest import make_disjoint_pairs, make_example3x3, make_one_letter_names, make_single_pair
 
 
 def test_light_traffic_examples(example3x3, single_pair):
@@ -160,3 +160,14 @@ def test_dedicated_baseline_validation(example3x3):
         dedicated_baseline(example3x3, {"s1": "c2", "s3": "c2"})
     with pytest.raises(DuplicateType):  # a repeated good, which a dict would drop
         dedicated_baseline(example3x3, [("s1", "c1"), ("s1", "c2")])
+    # a pair is two names: a string is refused, not read as its characters,
+    # and an unhashable name is an unknown one
+    letters = make_one_letter_names()
+    for model, pairing in ((letters, ["sa"]), (example3x3, ["s1c1"]), (example3x3, [("s1",)]),
+                           (example3x3, [("s1", "c1", "c2")])):
+        with pytest.raises(DomainError):
+            dedicated_baseline(model, pairing)
+    for pairing in ([(["s1"], "c1")], {"s1": ["c1"]}, [("s1", "zz")]):
+        with pytest.raises(UnknownIdentifier, match="unknown pair"):
+            dedicated_baseline(example3x3, pairing)
+    assert dedicated_baseline(letters, [("s", "a")]) == dedicated_baseline(letters, {"s": "a"})

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 import tracemalloc
 from collections import Counter, defaultdict
@@ -22,8 +24,9 @@ from fcfs_match import simulator
 from fcfs_match.errors import DomainError, DuplicateType, UnknownIdentifier
 from fcfs_match.simulator import _batch_means, _batch_variances, _z, run
 
-from conftest import dense_row, make_example3x3, random_multi_type_model, random_stable_model
-from oracles import ratio_estimate, variance_estimate
+from conftest import (dense_row, make_example3x3, make_one_letter_names, random_multi_type_model,
+                      random_stable_model)
+from oracles import numpy_batch_means, numpy_batch_variances, ratio_estimate, variance_estimate
 from reference_dynamics import (
     AGENT,
     GOOD,
@@ -113,12 +116,13 @@ def test_run_is_deterministic(example3x3, warm_kernel):
 
 def test_run_conservation(example3x3, warm_kernel):
     stats = run(example3x3, 80_000, seed=9, burn_in=0)
-    matches, losses = int(stats.match_counts.sum()), int(stats.loss_counts.sum())
+    match_counts = np.asarray(stats.match_counts)
+    matches, losses = int(match_counts.sum()), int(np.asarray(stats.loss_counts).sum())
     assert matches + losses == stats.total_goods
     assert stats.total_agents - matches == stats.final_unmatched
     assert stats.events_post_burn_in == 80_000
-    # every recorded delay is at least one position
-    assert np.all(stats.delay_sums >= stats.match_counts)
+    # every recorded delay is at least one position, cell by cell
+    assert np.all(np.asarray(stats.delay_sums) >= match_counts)
 
 
 def test_run_rejects_unstable(example3x3):
@@ -144,7 +148,8 @@ def test_batch_count_has_no_upper_bound(example3x3, warm_kernel, monkeypatch):
     assert many.n_batches == 200
     for field in ("match_counts", "loss_counts", "delay_sums", "delay_sqs",
                   "goods_counts", "events_counts"):
-        assert np.array_equal(getattr(many, field).sum(axis=0), getattr(few, field).sum(axis=0))
+        assert np.array_equal(np.asarray(getattr(many, field)).sum(axis=0),
+                              np.asarray(getattr(few, field)).sum(axis=0))
     assert (many.total_agents, many.final_unmatched) == (few.total_agents, few.final_unmatched)
 
 
@@ -164,11 +169,13 @@ def test_kernel_agrees_with_reference_implementation(example3x3, warm_kernel):
 
     # the reference matches only along edges, so the edge columns hold every match
     assert set(match_counts) <= example3x3.edges
+    losses, matches, delays = map(np.asarray, (stats.loss_counts, stats.match_counts,
+                                               stats.delay_sums))
     for j, g in enumerate(example3x3.good_names):
-        assert stats.loss_counts[:, j].sum() == loss_counts.get(g, 0)
+        assert losses[:, j].sum() == loss_counts.get(g, 0)
     for e, edge in enumerate(example3x3.edge_list):
-        assert stats.match_counts[:, e].sum() == match_counts.get(edge, 0)
-        assert stats.delay_sums[:, e].sum() == delay_sums.get(edge, 0)
+        assert matches[:, e].sum() == match_counts.get(edge, 0)
+        assert delays[:, e].sum() == delay_sums.get(edge, 0)
     assert stats.final_unmatched == len(window.open_agents)
 
 
@@ -202,18 +209,24 @@ _COUNTERS = ("match_counts", "loss_counts", "delay_sums", "delay_sqs", "goods_co
 
 
 def test_slice_boundaries_preserve_results(example3x3, warm_kernel, monkeypatch):
-    # a slice of 97 events ends inside batches, so the kernel reads each batch
-    # across list ends of the chained stream, and the run-length tally of the
-    # current order carries on within the batch
+    # a list of 97 codes (a numpy slice, or a group of pure-Python lanes) ends
+    # inside batches, so the kernel reads each batch across list ends of the
+    # chained stream, and the run-length tally of the current order carries on
+    # within the batch; both sources, the numpy one with NUMPY_EVENTS at 0
     models = (example3x3, random_multi_type_model())
-    default = [run(model, 60_000, seed=11, burn_in=2_000) for model in models]
-    monkeypatch.setattr(simulator, "SLICE", 97)
-    for model, ref in zip(models, default):
-        short = run(model, 60_000, seed=11, burn_in=2_000)
-        for field in _COUNTERS:
-            assert np.array_equal(getattr(short, field), getattr(ref, field)), field
-        assert list(short.occupancy) == list(ref.occupancy)
-        assert short.occupancy == ref.occupancy
+    for numpy_events in (simulator.NUMPY_EVENTS, 0):
+        monkeypatch.setattr(simulator, "NUMPY_EVENTS", numpy_events)
+        monkeypatch.setattr(simulator, "SLICE", 8_192)
+        monkeypatch.setattr(simulator, "LANES", 512)
+        default = [run(model, 60_000, seed=11, burn_in=2_000) for model in models]
+        monkeypatch.setattr(simulator, "SLICE", 97)
+        monkeypatch.setattr(simulator, "LANES", 97)
+        for model, ref in zip(models, default):
+            short = run(model, 60_000, seed=11, burn_in=2_000)
+            for field in _COUNTERS:
+                assert np.array_equal(getattr(short, field), getattr(ref, field)), field
+            assert list(short.occupancy) == list(ref.occupancy)
+            assert short.occupancy == ref.occupancy
 
 
 def _reference_orders(model, n_events, seed, chunk=None):
@@ -309,21 +322,26 @@ def test_occupancy_tally_matches_reference_orders(example3x3, which, monkeypatch
 @pytest.mark.parametrize("which", ["example3x3", "random"])
 def test_stream_crosses_chunk_ends(example3x3, which, monkeypatch):
     # chunks of 1000 items put five chunk ends in the run, one inside the
-    # burn-in: at each, both generators must skip the other's row
+    # burn-in: at each, both numpy generators must skip the other's row, and
+    # the pure source must restart its lanes, whose last group of 97 in a
+    # chunk is cut short; the numpy source runs with NUMPY_EVENTS at 0
     model = example3x3 if which == "example3x3" else random_multi_type_model()
     n, burn_in, n_batches, seed = 5_500, 1_500, 50, 31
     orders, events, waiting = _reference_orders(model, n, seed, chunk=1_000)
     counters, occupancy = _reference_counters(model, orders, events, burn_in, n_batches)
     monkeypatch.setattr(simulator, "CHUNK", 1_000)
     monkeypatch.setattr(simulator, "SLICE", 97)
+    monkeypatch.setattr(simulator, "LANES", 97)
     monkeypatch.setattr(simulator, "BATCHES", n_batches)
-    stats = run(model, n, seed=seed, burn_in=burn_in)
-    for field, expected in counters.items():
-        assert np.array_equal(getattr(stats, field), expected), field
-    assert stats.final_unmatched == waiting
-    assert list(stats.occupancy) == list(dict.fromkeys(orders[burn_in:]))
-    assert stats.occupancy.keys() == occupancy.keys()
-    assert stats.occupancy == _nonzero_cells(occupancy)
+    for numpy_events in (simulator.NUMPY_EVENTS, 0):
+        monkeypatch.setattr(simulator, "NUMPY_EVENTS", numpy_events)
+        stats = run(model, n, seed=seed, burn_in=burn_in)
+        for field, expected in counters.items():
+            assert np.array_equal(getattr(stats, field), expected), (field, numpy_events)
+        assert stats.final_unmatched == waiting
+        assert list(stats.occupancy) == list(dict.fromkeys(orders[burn_in:]))
+        assert stats.occupancy.keys() == occupancy.keys()
+        assert stats.occupancy == _nonzero_cells(occupancy)
 
 
 # tracemalloc peak of run(example3x3, 1e5 events): a whole (2, 1e5) chunk of
@@ -349,7 +367,7 @@ def test_occupancy_entries_are_the_nonzero_cells(example3x3, warm_kernel, n_batc
     for model in (example3x3, random_multi_type_model()):
         stats = run(model, 20_000, seed=5, burn_in=1_000)
         for field in ("entry_rows", "entry_batches", "entry_counts"):
-            assert getattr(stats, field).dtype == np.int64
+            assert all(type(x) is int for x in getattr(stats, field)), field
         # a dense orders x batches table summed from the entries: its nonzero
         # cells are the occupancy, batches ascending, and each is one entry
         dense = np.zeros((len(stats.order_rows), n_batches), dtype=np.int64)
@@ -360,7 +378,7 @@ def test_occupancy_entries_are_the_nonzero_cells(example3x3, warm_kernel, n_batc
         assert stats.occupancy == _nonzero_cells(rows)
         assert all(list(cells) == sorted(cells) for cells in stats.occupancy.values())
         assert sum(map(len, stats.occupancy.values())) == len(stats.entry_counts)
-        assert stats.entry_counts.min() > 0
+        assert min(stats.entry_counts) > 0
 
 
 def test_pi_y_rejects_unknown_and_repeated_types(warm_kernel):
@@ -395,10 +413,12 @@ def test_repeated_orders_collapse_to_one_key(warm_kernel):
 
 @pytest.mark.parametrize("n_batches", [2, 50, 63])
 def test_pi_y_rows_equal_single_order_estimates(example3x3, warm_kernel, n_batches, monkeypatch):
-    # compare_with_analytic estimates all pi_y rows as one array; each row must
-    # equal, bit for bit, the one-order estimate and its z-score
+    # compare_with_analytic estimates the pi_y rows in blocks of ROW_BLOCK rows,
+    # here 7; each row must equal, bit for bit, the one-order estimate and its
+    # z-score
     monkeypatch.setattr(simulator, "BATCHES", n_batches)
     monkeypatch.setattr(simulator, "PI_Y_THRESHOLD", 1e-7)
+    monkeypatch.setattr(simulator, "ROW_BLOCK", 7)
     never_seen = 0
     for model in (example3x3, random_multi_type_model()):
         stats = run(model, 20_000, seed=5, burn_in=1_000)
@@ -517,10 +537,12 @@ def test_row_estimates_match_per_row_reference():
     orders = list(stats.occupancy)[:100]
     ests = stats.estimates(orders)
     masked = 0
+    goods, events = np.asarray(stats.goods_counts), np.asarray(stats.events_counts)
     for e, (g, a) in enumerate(model.edge_list):
-        m, sums, sqs = (c[:, e] for c in (stats.match_counts, stats.delay_sums, stats.delay_sqs))
+        m, sums, sqs = (np.asarray(c)[:, e] for c in (stats.match_counts, stats.delay_sums,
+                                                     stats.delay_sqs))
         for est, ref, full in (
-            (ests["rate"][g, a], ratio_estimate(m, stats.goods_counts), (stats.goods_counts > 0).all()),
+            (ests["rate"][g, a], ratio_estimate(m, goods), (goods > 0).all()),
             (ests["delay_mean"][g, a], ratio_estimate(sums.astype(np.float64), m), (m > 0).all()),
             (ests["delay_var"][g, a], variance_estimate(sums, sqs, m), (m > 1).all()),
         ):
@@ -532,12 +554,12 @@ def test_row_estimates_match_per_row_reference():
                 masked += 1
     assert masked > len(ests["rate"])
     for g, loss in ests["loss"].items():
-        assert loss == ratio_estimate(stats.loss_counts[:, model.good_index[g]], stats.goods_counts)
+        assert loss == ratio_estimate(np.asarray(stats.loss_counts)[:, model.good_index[g]], goods)
     assert ests["pi_y"][()] == ratio_estimate(dense_row(stats.occupancy[()], stats.n_batches),
-                                              stats.events_counts)
+                                              events)
     for order in orders:
         counts = dense_row(stats.occupancy[order], stats.n_batches)
-        assert ests["pi_y"][order] == ratio_estimate(counts, stats.events_counts)
+        assert ests["pi_y"][order] == ratio_estimate(counts, events)
 
 
 @pytest.mark.parametrize("matches, mean, var", [(0, math.nan, math.nan), (2, 3.0, 1.0)])
@@ -546,11 +568,107 @@ def test_row_estimates_without_two_batches(matches, mean, var):
     # stderr, and no match at all gives (nan, inf), as in the per-row reference
     m = np.array([[0, matches, 0, 0]])
     sums, sqs = m * 3, m * 10.0
-    got = [_batch_means(sums, m), _batch_variances(sums, sqs, m)]
+    got = [_batch_means(sums.tolist(), m.tolist()),
+           _batch_variances(sums.tolist(), sqs.tolist(), m.tolist())]
     refs = [ratio_estimate(sums[0], m[0]), variance_estimate(sums[0], sqs[0], m[0])]
     for (values, stderrs), ref, value in zip(got, refs, (mean, var)):
         assert np.array_equal([values[0], stderrs[0]], [value, math.inf], equal_nan=True)
         assert np.array_equal(ref, [value, math.inf], equal_nan=True)
+
+
+# --- one stream from two sources, and the plain-Python estimators ---
+
+
+def _one_agent_three_goods() -> MatchingModel:
+    goods = (("s1", 0.2), ("s2", 0.3), ("s3", 0.5))
+    return MatchingModel((("c", 1.0),), goods, frozenset((g, "c") for g, _ in goods), 0.5, 1.0)
+
+
+def _codes(model, n_events, seed) -> list[int]:
+    return list(itertools.chain.from_iterable(simulator._event_codes(model, n_events, seed)))
+
+
+def test_pure_stream_equals_numpy_stream(example3x3, monkeypatch):
+    # runs of at most NUMPY_EVENTS events draw in pure Python, and must decode
+    # numpy's default_rng(seed) stream into the same codes: 1, 3 and 8 agent
+    # types; seeds of one, two and three 32-bit words; runs ending inside, at
+    # and past a group of 512 lanes or a numpy slice of 8192
+    models = (_one_agent_three_goods(), example3x3, _eight_agent_types_model())
+    seeds = (0, 1, 2**32 - 1, 2**32, 2**70 + 3)
+    sizes = (50, 511, 512, 513, 8191, 8192, 8193, simulator.NUMPY_EVENTS)
+    assert (simulator.LANES, simulator.SLICE) == (512, 8192)
+    pure = {(k, seed, n): _codes(model, n, seed) for k, model in enumerate(models)
+            for seed in seeds for n in sizes}
+    monkeypatch.setattr(simulator, "NUMPY_EVENTS", 0)
+    for (k, seed, n), codes in pure.items():
+        assert codes == _codes(models[k], n, seed), (k, seed, n)
+
+
+def test_pure_decode_at_thresholds(example3x3, monkeypatch):
+    # kind values v = out >> 11 one below, at and one above ceil(p * 2^53), each
+    # beside type values one below, at and one above ceil(c * 2^53) for every
+    # cumsum edge c, decode as numpy's comparison and searchsorted of v * 2^-53:
+    # thresholds on and off the 2^-53 grid (a one-letter model's 0.5 is on it)
+    models = (example3x3, make_one_letter_names(), _eight_agent_types_model())
+    for model in models:
+        p = model.lambda_bar / model.total_rate
+        alpha_edges = np.cumsum(np.asarray(model.alpha))[:-1]
+        beta_edges = np.cumsum(np.asarray(model.beta))[:-1]
+        near = [math.ceil(c * 2**53) + d for c in (*alpha_edges, *beta_edges) for d in (-1, 0, 1)]
+        kind_near = [math.ceil(p * 2**53) + d for d in (-1, 0, 1)]
+        pairs = [(k, t) for k in kind_near for t in near if 0 <= t < 2**53]
+        lanes = len(pairs)
+        packed = sum(k << 64 * i | t << 64 * (lanes + i) for i, (k, t) in enumerate(pairs))
+        monkeypatch.setattr(simulator, "LANES", lanes)
+        monkeypatch.setattr(simulator, "_pcg_lanes", lambda n, seed: iter([(lanes, packed)]))
+        got = list(itertools.chain.from_iterable(simulator._pcg_codes(model, lanes, 0)))
+        u_kind, u_type = (np.array(v, dtype=np.float64) * 2.0**-53 for v in zip(*pairs))
+        expected = np.where(u_kind < p, np.searchsorted(alpha_edges, u_type, side="right"),
+                            model.n_agent_types + np.searchsorted(beta_edges, u_type, side="right"))
+        assert got == expected.tolist(), model
+        assert len(set(got)) == model.n_agent_types + model.n_good_types, model
+
+
+def _hex(family) -> list[list[str]]:
+    return [list(map(float.hex, map(float, row))) for row in family]
+
+
+@pytest.mark.parametrize("n_batches", [2, 7, 8, 9, 50, 63, 129, 200])
+def test_estimators_equal_numpy_formulas(n_batches):
+    # bit for bit, rows with nan batches included: row 0 has no match, row 1
+    # matches in one batch only, row 2 has one match in every third batch, and
+    # the squares are not integers, so their sums round
+    rng = np.random.default_rng(n_batches)
+    m = rng.integers(0, 4, (12, n_batches))
+    m[0] = 0
+    m[1, 1:] = 0
+    m[2, ::3] = 1
+    sums = m * rng.integers(1, 60, m.shape)
+    sqs = sums * rng.uniform(1.0, 80.0, m.shape)
+    goods = rng.integers(0, 3, n_batches)
+    goods[0] = 5
+    for got, ref in ((_batch_means(sums.tolist(), m.tolist()), numpy_batch_means(sums, m)),
+                     (_batch_means(sums.tolist(), goods.tolist()), numpy_batch_means(sums, goods)),
+                     (_batch_variances(sums.tolist(), sqs.tolist(), m.tolist()),
+                      numpy_batch_variances(sums, sqs, m))):
+        assert all(type(x) is float for part in got for x in part)
+        assert _hex(got) == _hex(ref)
+
+
+@pytest.mark.parametrize("n_events", [20_000, 2**17])
+def test_stats_identical_from_both_sources(n_events, monkeypatch):
+    # every SimStats field, the counters as plain lists, whichever source drew
+    model = _eight_agent_types_model()
+    pure = run(model, n_events, seed=7)
+    monkeypatch.setattr(simulator, "NUMPY_EVENTS", 0)
+    drawn = run(model, n_events, seed=7)
+    for field in dataclasses.fields(pure):
+        assert getattr(pure, field.name) == getattr(drawn, field.name), field.name
+    for field in ("match_counts", "loss_counts", "delay_sums", "delay_sqs"):
+        assert all(type(row) is list for row in getattr(pure, field)), field
+    assert all(type(x) is float for row in pure.delay_sqs for x in row)
+    assert all(type(x) is int for row in pure.match_counts for x in row)
+    assert pure.estimates(list(pure.occupancy)) == drawn.estimates(list(drawn.occupancy))
 
 
 # --- exchange transform and reversed-time matching ---
